@@ -294,7 +294,7 @@ void BM_ProximityMatrix(benchmark::State& state) {
     benchmark::DoNotOptimize(clustering::l2_distance_matrix(weights));
   }
 }
-BENCHMARK(BM_ProximityMatrix)->Arg(100)->Arg(400);
+BENCHMARK(BM_ProximityMatrix)->Arg(100)->Arg(400)->Arg(2000);
 
 // One-shot HC on an n x n proximity matrix — the paper's O(N^2) server
 // overhead (Algorithm 1, line 6). Compare against BM_LeNetTrainStep x
@@ -312,7 +312,7 @@ void BM_HierarchicalClustering(benchmark::State& state) {
         clustering::agglomerative(dist, clustering::Linkage::kAverage));
   }
 }
-BENCHMARK(BM_HierarchicalClustering)->Arg(100)->Arg(400);
+BENCHMARK(BM_HierarchicalClustering)->Arg(100)->Arg(400)->Arg(2000);
 
 void BM_JacobiSvd(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "tensor/tensor_ops.h"
+#include "util/thread_pool.h"
 
 namespace fedclust::clustering {
 
@@ -11,13 +12,19 @@ tensor::Tensor distance_matrix(
     std::size_t n,
     const std::function<float(std::size_t, std::size_t)>& dist) {
   tensor::Tensor d({n, n});
-  for (std::size_t i = 0; i < n; ++i) {
+  const auto fill_row = [&](std::size_t i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       const float v = dist(i, j);
       d[i * n + j] = v;
       d[j * n + i] = v;
     }
-  }
+  };
+  // Task k owns rows k and n-1-k: n-1 pairs each, so contiguous chunks of
+  // tasks carry equal work.
+  util::parallel_for(0, (n + 1) / 2, [&](std::size_t k) {
+    fill_row(k);
+    if (n - 1 - k != k) fill_row(n - 1 - k);
+  });
   return d;
 }
 

@@ -12,6 +12,10 @@
 namespace fedclust::clustering {
 
 // Symmetric (n, n) matrix with zero diagonal from a pairwise callback.
+// dist(i, j) is called exactly once per pair i < j, from the global thread
+// pool, so it must be safe to call concurrently (a pure function of its
+// arguments). Which thread computes a pair never changes its value, so the
+// matrix is bit-identical at any FEDCLUST_THREADS.
 tensor::Tensor distance_matrix(
     std::size_t n,
     const std::function<float(std::size_t, std::size_t)>& dist);

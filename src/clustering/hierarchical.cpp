@@ -54,50 +54,86 @@ Dendrogram agglomerative(const tensor::Tensor& dist, Linkage linkage) {
   dendro.n_leaves = n;
   if (n <= 1) return dendro;
 
-  // active[i]: current cluster id occupying row i (or SIZE_MAX when merged
-  // away); sizes track member counts for the LW formulas.
-  std::vector<double> d(n * n);
-  for (std::size_t i = 0; i < n * n; ++i) d[i] = dist[i];
+  // Working copy of the matrix. float loses nothing: the inputs are floats
+  // and lw_update returns float. id[i]: current cluster id occupying row i;
+  // sizes track member counts for the LW formulas.
+  std::vector<float> d(dist.data(), dist.data() + n * n);
   std::vector<std::size_t> id(n);
   std::iota(id.begin(), id.end(), 0);
   std::vector<std::size_t> size(n, 1);
-  std::vector<bool> alive(n, true);
+  std::vector<char> alive(n, 1);
+
+  // Nearest-neighbour cache: mind[i] is the smallest d[i][j] over live
+  // j > i and nn[i] the first j attaining it (nn[i] == i when no entry is
+  // below infinity). Picking the first row with the smallest mind selects
+  // exactly the pair a row-major scan with strict < would, so the merge
+  // order, tie-breaks included, is that of the naive O(n^3) search.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<float> mind(n);
+  std::vector<std::size_t> nn(n);
+  const auto rescan = [&](std::size_t i) {
+    const float* row = &d[i * n];
+    float m = kInf;
+    std::size_t arg = i;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (alive[j] && row[j] < m) {
+        m = row[j];
+        arg = j;
+      }
+    }
+    mind[i] = m;
+    nn[i] = arg;
+  };
+  for (std::size_t i = 0; i < n; ++i) rescan(i);
 
   std::size_t next_id = n;
   for (std::size_t step = 0; step + 1 < n; ++step) {
     // Find the closest live pair.
-    double best = std::numeric_limits<double>::infinity();
+    float best = kInf;
     std::size_t bi = 0;
     std::size_t bj = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (!alive[i]) continue;
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (!alive[j]) continue;
-        if (d[i * n + j] < best) {
-          best = d[i * n + j];
-          bi = i;
-          bj = j;
-        }
+      if (alive[i] && mind[i] < best) {
+        best = mind[i];
+        bi = i;
+        bj = nn[i];
       }
     }
 
-    dendro.merges.push_back(
-        {id[bi], id[bj], static_cast<float>(best)});
+    dendro.merges.push_back({id[bi], id[bj], best});
 
     // Merge bj into bi's row and update distances to the rest.
-    const float dab = static_cast<float>(d[bi * n + bj]);
+    const float dab = d[bi * n + bj];
     for (std::size_t c = 0; c < n; ++c) {
       if (!alive[c] || c == bi || c == bj) continue;
-      const float updated = lw_update(
-          linkage, static_cast<float>(d[bi * n + c]),
-          static_cast<float>(d[bj * n + c]), dab, size[bi], size[bj],
-          size[c]);
+      const float updated = lw_update(linkage, d[bi * n + c], d[bj * n + c],
+                                      dab, size[bi], size[bj], size[c]);
       d[bi * n + c] = updated;
       d[c * n + bi] = updated;
     }
     size[bi] += size[bj];
-    alive[bj] = false;
+    alive[bj] = 0;
     id[bi] = next_id++;
+
+    // Refresh the cache (bi < bj). Row bi changed wholesale. A row c < bi
+    // lost column bj and saw column bi change; a row bi < c < bj only lost
+    // column bj; rows past bj saw neither.
+    rescan(bi);
+    for (std::size_t c = 0; c < bi; ++c) {
+      if (!alive[c]) continue;
+      if (nn[c] == bi || nn[c] == bj) {
+        rescan(c);
+        continue;
+      }
+      const float v = d[c * n + bi];
+      if (v < mind[c] || (v == mind[c] && bi < nn[c])) {
+        mind[c] = v;
+        nn[c] = bi;
+      }
+    }
+    for (std::size_t c = bi + 1; c < bj; ++c) {
+      if (alive[c] && nn[c] == bj) rescan(c);
+    }
   }
   return dendro;
 }

@@ -4,8 +4,10 @@
 // — the one-shot grouping step at the heart of FedClust (Algorithm 1,
 // line 6): HC(M, λ) on the server's proximity matrix.
 //
-// Naive O(n^3) merging is intentional: n is the client count (~100s), where
-// simplicity beats a priority-queue implementation.
+// agglomerative() caches each row's nearest live neighbour and rescans a
+// row only when its cached pair merges away, so a merge costs O(n) in the
+// typical case and the whole dendrogram O(n^2) (O(n^3) worst case). It
+// reproduces the naive all-pairs search merge for merge, ties included.
 
 #include <cstddef>
 #include <string>

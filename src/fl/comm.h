@@ -38,8 +38,8 @@ struct CommLedger {
 
 class CommTracker {
  public:
-  // Codec used by the deprecated float-count shims below to derive encoded
-  // bytes. Set once at Federation construction, before any transfer.
+  // The run's wire codec, kept so summaries can name it (byte counts come
+  // from callers' encoded sizes). Set once at Federation construction.
   void set_codec(wire::CodecId codec) { codec_ = codec; }
   wire::CodecId codec() const { return codec_; }
 

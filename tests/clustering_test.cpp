@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <numeric>
 
 #include "clustering/distance.h"
 #include "clustering/hierarchical.h"
 #include "clustering/metrics.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace fedclust::clustering {
 namespace {
@@ -40,6 +48,66 @@ TEST(Distance, ValidationCatchesBadMatrices) {
   EXPECT_THROW(validate_distance_matrix(neg), std::invalid_argument);
   EXPECT_THROW(validate_distance_matrix(Tensor({2, 3})),
                std::invalid_argument);
+}
+
+// distance_matrix fans its pairs out over the global pool; the matrix must
+// not depend on the worker count. The fixture restores the previous pool.
+class DistanceThreads : public ::testing::Test {
+ protected:
+  void SetUp() override { prev_threads_ = util::global_pool().size() + 1; }
+  void TearDown() override { util::reset_global_pool(prev_threads_); }
+
+ private:
+  std::size_t prev_threads_ = 1;
+};
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST_F(DistanceThreads, BitIdenticalAtOneAndFourThreads) {
+  // Odd and even n: the middle row of an odd n is paired with itself.
+  for (const std::size_t n : {1u, 2u, 37u, 64u}) {
+    util::Rng rng(29 + n);
+    std::vector<std::vector<float>> v(n, std::vector<float>(50));
+    for (auto& row : v) {
+      for (auto& x : row) x = rng.normalf(0, 1);
+    }
+    const auto custom = [&](std::size_t i, std::size_t j) {
+      return std::abs(v[i][0] - v[j][0]) + 0.5f * std::abs(v[i][1] - v[j][1]);
+    };
+    std::vector<Tensor> l2, cos, cust;
+    for (const std::size_t threads : {1u, 4u}) {
+      util::reset_global_pool(threads);
+      l2.push_back(l2_distance_matrix(v));
+      cos.push_back(cosine_distance_matrix(v));
+      cust.push_back(distance_matrix(n, custom));
+    }
+    EXPECT_TRUE(same_bits(l2[0], l2[1])) << "l2, n=" << n;
+    EXPECT_TRUE(same_bits(cos[0], cos[1])) << "cosine, n=" << n;
+    EXPECT_TRUE(same_bits(cust[0], cust[1])) << "callback, n=" << n;
+    validate_distance_matrix(l2[1]);
+    validate_distance_matrix(cust[1]);
+  }
+}
+
+TEST_F(DistanceThreads, CallsEachPairExactlyOnce) {
+  util::reset_global_pool(4);
+  for (const std::size_t n : {40u, 41u}) {
+    std::vector<std::atomic<int>> calls(n * n);
+    const Tensor d = distance_matrix(n, [&](std::size_t i, std::size_t j) {
+      calls[i * n + j].fetch_add(1);
+      return static_cast<float>(i + j);
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(calls[i * n + j].load(), i < j ? 1 : 0)
+            << "pair (" << i << ", " << j << "), n=" << n;
+        ASSERT_EQ(d[i * n + j], i == j ? 0.0f : static_cast<float>(i + j));
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- linkage
@@ -169,6 +237,182 @@ INSTANTIATE_TEST_SUITE_P(ReducibleLinkages, MonotoneSweep,
                          ::testing::Values(Linkage::kSingle,
                                            Linkage::kComplete,
                                            Linkage::kAverage));
+
+// ------------------------------------------------- reference equivalence
+
+// The all-pairs search agglomerative() used before its nearest-neighbour
+// cache, kept verbatim as an oracle: every step rescans each live pair in
+// row-major order with a strict <, on a double working copy. O(n^3).
+float reference_lw_update(Linkage linkage, float dac, float dbc, float dab,
+                          std::size_t na, std::size_t nb, std::size_t nc) {
+  switch (linkage) {
+    case Linkage::kSingle:
+      return std::min(dac, dbc);
+    case Linkage::kComplete:
+      return std::max(dac, dbc);
+    case Linkage::kAverage: {
+      const float fa = static_cast<float>(na) / static_cast<float>(na + nb);
+      return fa * dac + (1.0f - fa) * dbc;
+    }
+    case Linkage::kWard: {
+      const float n_abc = static_cast<float>(na + nb + nc);
+      const float t = (static_cast<float>(na + nc) * dac * dac +
+                       static_cast<float>(nb + nc) * dbc * dbc -
+                       static_cast<float>(nc) * dab * dab) /
+                      n_abc;
+      return std::sqrt(std::max(t, 0.0f));
+    }
+  }
+  return 0.0f;
+}
+
+Dendrogram reference_agglomerative(const Tensor& dist, Linkage linkage) {
+  validate_distance_matrix(dist);
+  const std::size_t n = dist.dim(0);
+  Dendrogram dendro;
+  dendro.n_leaves = n;
+  if (n <= 1) return dendro;
+
+  std::vector<double> d(n * n);
+  for (std::size_t i = 0; i < n * n; ++i) d[i] = dist[i];
+  std::vector<std::size_t> id(n);
+  std::iota(id.begin(), id.end(), 0);
+  std::vector<std::size_t> size(n, 1);
+  std::vector<bool> alive(n, true);
+
+  std::size_t next_id = n;
+  for (std::size_t step = 0; step + 1 < n; ++step) {
+    double best = std::numeric_limits<double>::infinity();
+    std::size_t bi = 0;
+    std::size_t bj = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!alive[i]) continue;
+      for (std::size_t j = i + 1; j < n; ++j) {
+        if (!alive[j]) continue;
+        if (d[i * n + j] < best) {
+          best = d[i * n + j];
+          bi = i;
+          bj = j;
+        }
+      }
+    }
+
+    dendro.merges.push_back({id[bi], id[bj], static_cast<float>(best)});
+
+    const float dab = static_cast<float>(d[bi * n + bj]);
+    for (std::size_t c = 0; c < n; ++c) {
+      if (!alive[c] || c == bi || c == bj) continue;
+      const float updated = reference_lw_update(
+          linkage, static_cast<float>(d[bi * n + c]),
+          static_cast<float>(d[bj * n + c]), dab, size[bi], size[bj],
+          size[c]);
+      d[bi * n + c] = updated;
+      d[c * n + bi] = updated;
+    }
+    size[bi] += size[bj];
+    alive[bj] = false;
+    id[bi] = next_id++;
+  }
+  return dendro;
+}
+
+// Merge-for-merge equality: the same (a, b) and the same distance bits.
+::testing::AssertionResult same_merges(const Tensor& dist, Linkage linkage) {
+  const Dendrogram got = agglomerative(dist, linkage);
+  const Dendrogram want = reference_agglomerative(dist, linkage);
+  if (got.n_leaves != want.n_leaves ||
+      got.merges.size() != want.merges.size()) {
+    return ::testing::AssertionFailure() << "shape differs";
+  }
+  for (std::size_t i = 0; i < got.merges.size(); ++i) {
+    const auto& g = got.merges[i];
+    const auto& w = want.merges[i];
+    if (g.a != w.a || g.b != w.b ||
+        std::bit_cast<std::uint32_t>(g.distance) !=
+            std::bit_cast<std::uint32_t>(w.distance)) {
+      return ::testing::AssertionFailure()
+             << "merge " << i << " of n=" << dist.dim(0) << ": got (" << g.a
+             << ", " << g.b << ", " << g.distance << "), want (" << w.a
+             << ", " << w.b << ", " << w.distance << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Symmetric matrix with zero diagonal whose off-diagonal entries come from
+// entry(rng).
+template <typename Entry>
+Tensor symmetric_matrix(std::size_t n, util::Rng& rng, Entry entry) {
+  Tensor d({n, n});
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const float v = entry(rng);
+      d[i * n + j] = v;
+      d[j * n + i] = v;
+    }
+  }
+  return d;
+}
+
+class ReferenceEquivalence : public ::testing::TestWithParam<Linkage> {};
+
+TEST_P(ReferenceEquivalence, RandomL2Matrices) {
+  std::vector<std::size_t> sizes(39);
+  std::iota(sizes.begin(), sizes.end(), 2);  // every n in 2..40
+  for (const std::size_t n : {64u, 100u, 157u, 211u, 300u}) {
+    sizes.push_back(n);
+  }
+  for (const std::size_t n : sizes) {
+    util::Rng rng(1000 + n);
+    std::vector<std::vector<float>> points(n, std::vector<float>(4));
+    for (auto& p : points) {
+      for (auto& x : p) x = rng.normalf(0, 1);
+    }
+    ASSERT_TRUE(same_merges(l2_distance_matrix(points), GetParam()));
+  }
+}
+
+// Small integers make many exact ties, so the tie-break order of the
+// cached search must match the row-major scan's.
+TEST_P(ReferenceEquivalence, TieHeavyIntegerMatrices) {
+  for (std::uint64_t seed = 0; seed < 320; ++seed) {
+    util::Rng rng(seed);
+    const auto n = static_cast<std::size_t>(rng.randint(2, 41));
+    const Tensor d = symmetric_matrix(n, rng, [](util::Rng& r) {
+      return static_cast<float>(r.randint(0, 4));
+    });
+    ASSERT_TRUE(same_merges(d, GetParam())) << "seed " << seed;
+  }
+}
+
+TEST_P(ReferenceEquivalence, AllEqualMatrix) {
+  for (const float v : {0.0f, 1.0f}) {
+    util::Rng rng(0);
+    const Tensor d = symmetric_matrix(64, rng, [v](util::Rng&) { return v; });
+    ASSERT_TRUE(same_merges(d, GetParam())) << "value " << v;
+  }
+}
+
+// Infinite entries (and the NaNs Ward's update derives from them) are
+// never below the running minimum; both searches must skip them alike.
+TEST_P(ReferenceEquivalence, InfiniteEntries) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    util::Rng rng(seed);
+    const auto n = static_cast<std::size_t>(rng.randint(2, 20));
+    const Tensor d = symmetric_matrix(n, rng, [](util::Rng& r) {
+      const auto k = r.randint(0, 3);
+      return k == 2 ? kInf : static_cast<float>(k + 1);
+    });
+    ASSERT_TRUE(same_merges(d, GetParam())) << "seed " << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLinkages, ReferenceEquivalence,
+                         ::testing::Values(Linkage::kSingle,
+                                           Linkage::kComplete,
+                                           Linkage::kAverage,
+                                           Linkage::kWard));
 
 // ----------------------------------------------------------- gap threshold
 

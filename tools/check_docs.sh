@@ -8,6 +8,9 @@
 #   2. every relative markdown link in docs/*.md points at a real file;
 #   3. every `path:line` anchor in docs/*.md names a real file and a
 #      line that exists.
+# Membership tests read here-strings, never `echo | grep -q` pipes: under
+# pipefail, grep -q exiting on its first match can kill the echo with
+# SIGPIPE and fail a check that passed.
 # Usage: tools/check_docs.sh [sim] [report] [server] [worker]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -35,13 +38,13 @@ doc_flags=$(grep -ohE '\-\-[a-zA-Z][a-zA-Z0-9_-]*' "${doc_files[@]}" |
             sed 's/^--//' | sort -u)
 
 for f in $help_flags; do
-  echo "$f" | grep -qE "$ignore" && continue
-  echo "$doc_flags" | grep -qx "$f" ||
+  grep -qE -- "$ignore" <<<"$f" && continue
+  grep -qxF -- "$f" <<<"$doc_flags" ||
     { echo "check_docs: --$f is in --help but undocumented" >&2; fail=1; }
 done
 for f in $doc_flags; do
-  echo "$f" | grep -qE "$ignore" && continue
-  echo "$help_flags" | grep -qx "$f" ||
+  grep -qE -- "$ignore" <<<"$f" && continue
+  grep -qxF -- "$f" <<<"$help_flags" ||
     { echo "check_docs: docs mention --$f, absent from --help" >&2; fail=1; }
 done
 
@@ -67,8 +70,8 @@ for doc in "${doc_files[@]}"; do
     for b in $bins; do allowed+="${bin_flags[$b]}"$'\n'; done
     for f in $(grep -oE -- '\-\-[a-zA-Z][a-zA-Z0-9_-]*' <<<"$line" |
                sed 's/^--//' | sort -u); do
-      echo "$f" | grep -qE "$ignore" && continue
-      echo "$allowed" | grep -qx "$f" ||
+      grep -qE -- "$ignore" <<<"$f" && continue
+      grep -qxF -- "$f" <<<"$allowed" ||
         { echo "check_docs: $doc:$lineno documents --$f against" \
                "$(echo "$bins" | paste -sd,), which lacks it" >&2; fail=1; }
     done

@@ -146,9 +146,12 @@ grep -q 'REGRESSION wire_bytes' "$report_dir/compare.err" ||
 echo "journal+report smoke ok"
 
 # Docs consistency: every flag of the four CLI binaries documented and
-# vice versa, relative links and file:line anchors in docs/ resolve.
-tools/check_docs.sh build/tools/fedclust_sim build/tools/fedclust_report \
-    build/tools/fedclust_server build/tools/fedclust_worker
+# vice versa, relative links and file:line anchors in docs/ resolve. Run
+# five times in a row: the check must be deterministic, not pass by luck.
+for _ in 1 2 3 4 5; do
+  tools/check_docs.sh build/tools/fedclust_sim build/tools/fedclust_report \
+      build/tools/fedclust_server build/tools/fedclust_worker
+done
 
 # Kill-and-resume smoke: checkpoint at round 2, halt (the deterministic
 # stand-in for a kill), resume, and require the per-round trace CSV and
