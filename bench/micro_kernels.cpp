@@ -13,6 +13,7 @@
 #include "fl/federation.h"
 #include "linalg/principal_angles.h"
 #include "linalg/svd.h"
+#include "nn/conv2d.h"
 #include "nn/loss.h"
 #include "nn/model_zoo.h"
 #include "nn/optimizer.h"
@@ -73,13 +74,78 @@ void BM_GemmTN(benchmark::State& state) {
 BENCHMARK(BM_GemmNT)->Arg(128)->Arg(256);
 BENCHMARK(BM_GemmTN)->Arg(128)->Arg(256);
 
+// The GEMMs one LeNet-5 training step issues on 3x16x16 images, batch 10:
+// args are (m, n, k, trans_a, trans_b). The first nine rows are the
+// minibatch conv (forward, dW, dcol for conv1 and conv2) and the fc1
+// forward as W x^T; the last four are the per-image forms an image-by-image
+// conv issues ten times per step. Items are multiply-adds.
+void BM_GemmLeNet(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto k = static_cast<std::size_t>(state.range(2));
+  const auto ta =
+      state.range(3) != 0 ? tensor::Trans::kYes : tensor::Trans::kNo;
+  const auto tb =
+      state.range(4) != 0 ? tensor::Trans::kYes : tensor::Trans::kNo;
+  const auto a = random_tensor({m * k}, 1);
+  const auto b = random_tensor({k * n}, 2);
+  std::vector<float> c(m * n);
+  const std::size_t lda = ta == tensor::Trans::kYes ? m : k;
+  const std::size_t ldb = tb == tensor::Trans::kYes ? k : n;
+  for (auto _ : state) {
+    tensor::gemm(ta, tb, m, n, k, 1.0f, a.data(), lda, b.data(), ldb, 0.0f,
+                 c.data(), n);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(m * n * k));
+}
+BENCHMARK(BM_GemmLeNet)
+    ->ArgNames({"m", "n", "k", "ta", "tb"})
+    ->Args({6, 2560, 75, 0, 0})     // conv1 forward
+    ->Args({6, 75, 2560, 0, 1})     // conv1 dW
+    ->Args({75, 2560, 6, 1, 0})     // conv1 dcol
+    ->Args({16, 160, 150, 0, 0})    // conv2 forward
+    ->Args({16, 150, 160, 0, 1})    // conv2 dW
+    ->Args({150, 160, 16, 1, 0})    // conv2 dcol
+    ->Args({120, 10, 64, 0, 1})     // fc1 forward, W x^T
+    ->Args({10, 120, 64, 0, 1})     // fc1 forward, x W^T
+    ->Args({120, 64, 10, 1, 0})     // fc1 dW
+    ->Args({6, 256, 75, 0, 0})      // conv1 forward, one image
+    ->Args({6, 75, 256, 0, 1})      // conv1 dW, one image
+    ->Args({16, 16, 150, 0, 0})     // conv2 forward, one image
+    ->Args({16, 150, 16, 0, 1});    // conv2 dW, one image
+
+// One Conv2d training step (forward with caching, then backward) on a
+// batch of 10: args are (in_c, out_c, hw, pad) — LeNet-5's conv1
+// (3->6, 16x16, pad 2) and conv2 (6->16, 8x8, pad 0), kernel 5.
+void BM_Conv2dTrainStep(benchmark::State& state) {
+  const auto in_c = static_cast<std::size_t>(state.range(0));
+  const auto out_c = static_cast<std::size_t>(state.range(1));
+  const auto hw = static_cast<std::size_t>(state.range(2));
+  const auto pad = static_cast<std::size_t>(state.range(3));
+  nn::Conv2d conv(in_c, out_c, 5, 1, pad);
+  conv.weight().value = random_tensor({out_c, in_c * 25}, 1);
+  const auto x = random_tensor({10, in_c, hw, hw}, 2);
+  const std::size_t ohw = hw + 2 * pad - 4;
+  const auto gy = random_tensor({10, out_c, ohw, ohw}, 3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.forward(x, /*train=*/true));
+    benchmark::DoNotOptimize(conv.backward(gy));
+  }
+}
+BENCHMARK(BM_Conv2dTrainStep)
+    ->ArgNames({"in_c", "out_c", "hw", "pad"})
+    ->Args({3, 6, 16, 2})
+    ->Args({6, 16, 8, 0});
+
 void BM_Im2Col(benchmark::State& state) {
   const std::size_t c = 6;
   const std::size_t hw = 16;
   const auto img = random_tensor({c, hw, hw}, 3);
   std::vector<float> col(c * 25 * hw * hw);
   for (auto _ : state) {
-    tensor::im2col(img.data(), c, hw, hw, 5, 5, 1, 2, col.data());
+    tensor::im2col(img.data(), 1, c, hw, hw, 5, 5, 1, 2, col.data());
     benchmark::DoNotOptimize(col.data());
   }
 }
@@ -107,7 +173,7 @@ void BM_ConvUnfused(benchmark::State& state) {
   std::vector<float> col(c * k * k * hw * hw);
   std::vector<float> out(oc * hw * hw);
   for (auto _ : state) {
-    tensor::im2col(img.data(), c, hw, hw, k, k, 1, 2, col.data());
+    tensor::im2col(img.data(), 1, c, hw, hw, k, k, 1, 2, col.data());
     tensor::gemm(tensor::Trans::kNo, tensor::Trans::kNo, oc, hw * hw,
                  c * k * k, 1.0f, wts.data(), c * k * k, col.data(), hw * hw,
                  0.0f, out.data(), hw * hw);

@@ -2,6 +2,8 @@
 
 // Elementwise activation layers.
 
+#include <cstdint>
+
 #include "nn/module.h"
 
 namespace fedclust::nn {
@@ -14,7 +16,7 @@ class ReLU : public Module {
 
  private:
   // 1 where the input was positive; reused as the backward mask.
-  std::vector<bool> mask_;
+  std::vector<std::uint8_t> mask_;
   tensor::Shape cached_shape_;
 };
 

@@ -1,5 +1,6 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -23,6 +24,19 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
               Tensor({out_channels, in_channels * kernel * kernel})),
       bias_(name_ + ".bias", Tensor({out_channels})) {}
 
+namespace {
+
+// Per-thread staging buffer for the minibatch GEMM output (forward) and the
+// gathered output gradient (backward): (out_c, N*OH*OW), the size of one
+// activation tensor, reused across steps.
+std::vector<float>& channel_major_scratch(std::size_t size) {
+  thread_local std::vector<float> buf;
+  buf.resize(size);
+  return buf;
+}
+
+}  // namespace
+
 Tensor Conv2d::forward(const Tensor& x, bool train) {
   OBS_SPAN("conv2d.forward");
   if (x.ndim() != 4 || x.dim(1) != in_c_) {
@@ -37,43 +51,53 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   const std::size_t ow = tensor::conv_out_dim(w, kernel_, stride_, pad_);
   const std::size_t col_rows = in_c_ * kernel_ * kernel_;
   const std::size_t out_area = oh * ow;
-
   Tensor y({n, out_c_, oh, ow});
-  Tensor cols = train ? Tensor({n, col_rows, out_area}) : Tensor();
 
-  for (std::size_t i = 0; i < n; ++i) {
-    float* out = y.data() + i * out_c_ * out_area;
-    if (train) {
-      // Training keeps the full column matrix — backward reuses it for the
-      // dW and dcol GEMMs — so forward runs the unfused path over it.
-      float* col = cols.data() + i * col_rows * out_area;
-      tensor::im2col(x.data() + i * in_c_ * h * w, in_c_, h, w, kernel_,
-                     kernel_, stride_, pad_, col);
-      // out(out_c, out_area) = W(out_c, col_rows) x col(col_rows, out_area)
-      tensor::gemm(tensor::Trans::kNo, tensor::Trans::kNo, out_c_, out_area,
-                   col_rows, 1.0f, weight_.value.data(), col_rows, col,
-                   out_area, 0.0f, out, out_area);
-    } else {
-      // Inference never needs the column matrix again: fuse im2col with the
-      // GEMM so only a small panel is ever materialized (bit-identical to
-      // the unfused path — see conv_fused.h).
+  if (!train) {
+    // Inference never needs the column matrix again: fuse im2col with the
+    // GEMM so only a small panel is ever materialized (bit-identical to
+    // the unfused path — see conv_fused.h).
+    for (std::size_t i = 0; i < n; ++i) {
+      float* out = y.data() + i * out_c_ * out_area;
       tensor::conv2d_forward_fused(x.data() + i * in_c_ * h * w, in_c_, h,
                                    w, weight_.value.data(), out_c_, kernel_,
                                    kernel_, stride_, pad_, out);
+      for (std::size_t oc = 0; oc < out_c_; ++oc) {
+        const float b = bias_.value[oc];
+        float* plane = out + oc * out_area;
+        for (std::size_t p = 0; p < out_area; ++p) plane[p] += b;
+      }
     }
-    for (std::size_t oc = 0; oc < out_c_; ++oc) {
-      const float b = bias_.value[oc];
-      float* plane = out + oc * out_area;
-      for (std::size_t p = 0; p < out_area; ++p) plane[p] += b;
-    }
+    return y;
   }
 
-  if (train) {
-    cached_cols_ = std::move(cols);
-    cached_n_ = n;
-    cached_h_ = h;
-    cached_w_ = w;
+  // Training lowers the whole minibatch at once: one im2col into
+  // (col_rows, N*OH*OW), kept for backward's dW GEMM, and one GEMM
+  // out(out_c, N*OH*OW) = W(out_c, col_rows) x cols. Every output element
+  // reduces over the same col_rows terms in the same order as a per-image
+  // GEMM would, so batching is bit-exact.
+  const std::size_t cols_n = n * out_area;
+  if (cached_cols_.size() != col_rows * cols_n) {
+    cached_cols_ = Tensor({col_rows, cols_n});
   }
+  tensor::im2col(x.data(), n, in_c_, h, w, kernel_, kernel_, stride_, pad_,
+                 cached_cols_.data());
+  std::vector<float>& out = channel_major_scratch(out_c_ * cols_n);
+  tensor::gemm(tensor::Trans::kNo, tensor::Trans::kNo, out_c_, cols_n,
+               col_rows, 1.0f, weight_.value.data(), col_rows,
+               cached_cols_.data(), cols_n, 0.0f, out.data(), cols_n);
+  // Channel-major GEMM output -> NCHW, adding the bias on the way.
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t oc = 0; oc < out_c_; ++oc) {
+      const float b = bias_.value[oc];
+      const float* src = out.data() + oc * cols_n + i * out_area;
+      float* dst = y.data() + (i * out_c_ + oc) * out_area;
+      for (std::size_t p = 0; p < out_area; ++p) dst[p] = src[p] + b;
+    }
+  }
+  cached_n_ = n;
+  cached_h_ = h;
+  cached_w_ = w;
   return y;
 }
 
@@ -86,35 +110,39 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::size_t n = cached_n_;
   const std::size_t h = cached_h_;
   const std::size_t w = cached_w_;
-  const std::size_t oh = grad_out.dim(2);
-  const std::size_t ow = grad_out.dim(3);
-  const std::size_t out_area = oh * ow;
+  const std::size_t out_area = grad_out.dim(2) * grad_out.dim(3);
   const std::size_t col_rows = in_c_ * kernel_ * kernel_;
+  const std::size_t cols_n = n * out_area;
+  float* cols = cached_cols_.data();
 
-  Tensor grad_in({n, in_c_, h, w});
-  std::vector<float> grad_col(col_rows * out_area);
-
+  // Gather gy into channel-major (out_c, N*OH*OW); db += each image's
+  // spatial sums, in double, image by image.
+  std::vector<float>& gy = channel_major_scratch(out_c_ * cols_n);
   for (std::size_t i = 0; i < n; ++i) {
-    const float* gy = grad_out.data() + i * out_c_ * out_area;
-    const float* col = cached_cols_.data() + i * col_rows * out_area;
-    // dW += gy(out_c, out_area) x col^T(out_area, col_rows)
-    tensor::gemm(tensor::Trans::kNo, tensor::Trans::kYes, out_c_, col_rows,
-                 out_area, 1.0f, gy, out_area, col, out_area, 1.0f,
-                 weight_.grad.data(), col_rows);
-    // db += spatial sums of gy
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
-      const float* plane = gy + oc * out_area;
+      const float* plane = grad_out.data() + (i * out_c_ + oc) * out_area;
+      std::copy(plane, plane + out_area,
+                gy.data() + oc * cols_n + i * out_area);
       double s = 0.0;
       for (std::size_t p = 0; p < out_area; ++p) s += plane[p];
       bias_.grad[oc] += static_cast<float>(s);
     }
-    // dcol = W^T(col_rows, out_c) x gy(out_c, out_area), then scatter back.
-    tensor::gemm(tensor::Trans::kYes, tensor::Trans::kNo, col_rows, out_area,
-                 out_c_, 1.0f, weight_.value.data(), col_rows, gy, out_area,
-                 0.0f, grad_col.data(), out_area);
-    tensor::col2im(grad_col.data(), in_c_, h, w, kernel_, kernel_, stride_,
-                   pad_, grad_in.data() + i * in_c_ * h * w);
   }
+  // dW += gy(out_c, N*OH*OW) x cols^T: one reduction over the minibatch's
+  // output positions in image order — the same sequence per element as
+  // accumulating one image at a time.
+  tensor::gemm(tensor::Trans::kNo, tensor::Trans::kYes, out_c_, col_rows,
+               cols_n, 1.0f, gy.data(), cols_n, cols, cols_n, 1.0f,
+               weight_.grad.data(), col_rows);
+  // dcol = W^T(col_rows, out_c) x gy, written over the column matrix (dW was
+  // its last reader), then scattered back image by image.
+  tensor::gemm(tensor::Trans::kYes, tensor::Trans::kNo, col_rows, cols_n,
+               out_c_, 1.0f, weight_.value.data(), col_rows, gy.data(),
+               cols_n, 0.0f, cols, cols_n);
+  cached_n_ = 0;
+  Tensor grad_in({n, in_c_, h, w});
+  tensor::col2im(cols, n, in_c_, h, w, kernel_, kernel_, stride_, pad_,
+                 grad_in.data());
   return grad_in;
 }
 

@@ -1,6 +1,8 @@
 #pragma once
 
-// 2-D convolution over NCHW tensors, lowered to GEMM via im2col.
+// 2-D convolution over NCHW tensors, lowered to GEMM via im2col: training
+// runs one im2col and one GEMM per pass over the whole minibatch;
+// inference runs the fused per-image panel path (tensor/conv_fused.h).
 
 #include "nn/module.h"
 
@@ -33,9 +35,10 @@ class Conv2d : public Module {
   Parameter weight_;  // (out_c, in_c * k * k)
   Parameter bias_;    // (out_c)
 
-  // Forward caches for backward: the per-sample column matrices and the
-  // input geometry.
-  Tensor cached_cols_;  // (N, in_c*k*k, OH*OW) flattened
+  // Forward caches for backward: the minibatch column matrix and the input
+  // geometry. Backward overwrites the columns with dcol, so one forward
+  // feeds exactly one backward.
+  Tensor cached_cols_;  // (in_c*k*k, N*OH*OW)
   std::size_t cached_n_ = 0;
   std::size_t cached_h_ = 0;
   std::size_t cached_w_ = 0;

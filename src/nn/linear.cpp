@@ -1,6 +1,7 @@
 #include "nn/linear.h"
 
 #include <stdexcept>
+#include <vector>
 
 #include "tensor/gemm.h"
 
@@ -21,12 +22,19 @@ Tensor Linear::forward(const Tensor& x, bool train) {
                                 x.shape_str());
   }
   const std::size_t n = x.dim(0);
-  // y = x (N,in) * W^T (in,out)
-  Tensor y = tensor::matmul(x, tensor::Trans::kNo, weight_.value,
-                            tensor::Trans::kYes);
-  for (std::size_t i = 0; i < n; ++i) {
-    float* row = y.data() + i * out_;
-    for (std::size_t j = 0; j < out_; ++j) row[j] += bias_.value[j];
+  // y^T (out, N) = W (out, in) x x^T (in, N): only the N x in activations
+  // are transposed, never the weight. Exact: alpha == 1, and every element
+  // sums fl(W[j,p] * x[i,p]) = fl(x[i,p] * W[j,p]) in ascending p, just as
+  // x W^T would.
+  thread_local std::vector<float> yt;
+  yt.resize(out_ * n);
+  tensor::gemm(tensor::Trans::kNo, tensor::Trans::kYes, out_, n, in_, 1.0f,
+               weight_.value.data(), in_, x.data(), in_, 0.0f, yt.data(), n);
+  Tensor y({n, out_});
+  for (std::size_t j = 0; j < out_; ++j) {
+    const float b = bias_.value[j];
+    const float* src = yt.data() + j * n;
+    for (std::size_t i = 0; i < n; ++i) y[i * out_ + j] = src[i] + b;
   }
   if (train) cached_input_ = x;
   return y;

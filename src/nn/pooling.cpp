@@ -16,6 +16,39 @@ void check_nchw(const Tensor& x, const char* who) {
   }
 }
 
+// One output row of 2x2 / stride-2 windows whose top taps start at `top`
+// (flat input index top_flat). Each tap pair is scanned from -inf and the
+// bottom pair takes over only when strictly greater: the same first maximum
+// as the row-major scan. The winner is a tap code (bit 0: right, bit 1:
+// bottom) and a window whose max stayed -inf maps to index 0; every select
+// is arithmetic, so the row vectorizes.
+template <bool kArgmax>
+void max2x2_row(const float* top, std::size_t w, std::size_t ow,
+                std::size_t top_flat, float* y, std::size_t* arg) {
+  const float ninf = -std::numeric_limits<float>::infinity();
+  for (std::size_t ox = 0; ox < ow; ++ox) {
+    const float* t = top + 2 * ox;
+    const float* b = t + w;
+    float hi = t[0] > ninf ? t[0] : ninf;
+    const auto hi_at = static_cast<std::size_t>(t[1] > hi);
+    hi = t[1] > hi ? t[1] : hi;
+    float lo = b[0] > ninf ? b[0] : ninf;
+    const std::size_t lo_at = 2 + static_cast<std::size_t>(b[1] > lo);
+    lo = b[1] > lo ? b[1] : lo;
+    const bool low_wins = lo > hi;
+    const float best = low_wins ? lo : hi;
+    y[ox] = best;
+    if constexpr (kArgmax) {
+      const std::size_t pick =
+          std::size_t{0} - static_cast<std::size_t>(low_wins);
+      const std::size_t at = hi_at ^ ((hi_at ^ lo_at) & pick);
+      const std::size_t found =
+          std::size_t{0} - static_cast<std::size_t>(best > ninf);
+      arg[ox] = (top_flat + 2 * ox + (at & 1) + (at >> 1) * w) & found;
+    }
+  }
+}
+
 }  // namespace
 
 MaxPool2d::MaxPool2d(std::size_t kernel, std::size_t stride)
@@ -33,30 +66,41 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
   Tensor y({n, c, oh, ow});
   if (train) argmax_.assign(y.size(), 0);
 
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const std::size_t plane_off = (i * c + ch) * h * w;
-      const float* plane = x.data() + plane_off;
-      const std::size_t out_off = (i * c + ch) * oh * ow;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
-          for (std::size_t ky = 0; ky < kernel_; ++ky) {
-            for (std::size_t kx = 0; kx < kernel_; ++kx) {
-              const std::size_t iy = oy * stride_ + ky;
-              const std::size_t ix = ox * stride_ + kx;
-              const float v = plane[iy * w + ix];
-              if (v > best) {
-                best = v;
-                best_idx = plane_off + iy * w + ix;
-              }
+  const bool k2s2 = kernel_ == 2 && stride_ == 2;
+  for (std::size_t pl = 0; pl < n * c; ++pl) {
+    const std::size_t plane_off = pl * h * w;
+    const float* plane = x.data() + plane_off;
+    const std::size_t out_off = pl * oh * ow;
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      const std::size_t row_off = oy * stride_ * w;
+      float* y_row = y.data() + out_off + oy * ow;
+      std::size_t* arg_row = train ? argmax_.data() + out_off + oy * ow
+                                   : nullptr;
+      if (k2s2) {
+        if (train) {
+          max2x2_row<true>(plane + row_off, w, ow, plane_off + row_off,
+                           y_row, arg_row);
+        } else {
+          max2x2_row<false>(plane + row_off, w, ow, plane_off + row_off,
+                            y_row, nullptr);
+        }
+        continue;
+      }
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_idx = 0;
+        for (std::size_t ky = 0; ky < kernel_; ++ky) {
+          for (std::size_t kx = 0; kx < kernel_; ++kx) {
+            const std::size_t in = row_off + ky * w + ox * stride_ + kx;
+            const float v = plane[in];
+            if (v > best) {
+              best = v;
+              best_idx = plane_off + in;
             }
           }
-          const std::size_t out_idx = out_off + oy * ow + ox;
-          y[out_idx] = best;
-          if (train) argmax_[out_idx] = best_idx;
         }
+        y_row[ox] = best;
+        if (train) arg_row[ox] = best_idx;
       }
     }
   }

@@ -188,7 +188,14 @@ void ingest_trace(RunReport& r, const std::string& trace_text) {
   };
   std::map<std::string, Agg> by_name;
   for (const json::Value& ev : events->array) {
-    if (ev.string_or("ph", "") != "X") continue;
+    const std::string ph = ev.string_or("ph", "");
+    if (ph == "I" && ev.string_or("name", "") == "ring_overflow") {
+      if (const json::Value* args = ev.find("args")) {
+        r.trace_dropped += u64(*args, "dropped");
+      }
+      continue;
+    }
+    if (ph != "X") continue;
     Agg& agg = by_name[ev.string_or("name", "?")];
     ++agg.count;
     agg.total_us += static_cast<std::uint64_t>(ev.number_or("dur", 0.0));
@@ -375,7 +382,7 @@ std::string to_json(const RunReport& r) {
      << ",\"heartbeat_missed\":" << r.transport.heartbeat_missed
      << ",\"worker_restarts\":" << r.transport.worker_restarts
      << ",\"frame_rejects\":" << r.transport.frame_rejects
-     << "},\"phases\":[";
+     << "},\"trace_dropped\":" << r.trace_dropped << ",\"phases\":[";
   for (std::size_t i = 0; i < r.phases.size(); ++i) {
     const PhaseStats& ps = r.phases[i];
     os << (i ? "," : "") << "{\"name\":\"" << ps.name
@@ -493,6 +500,10 @@ std::string to_markdown(const RunReport& r) {
 
   if (!r.phases.empty()) {
     os << "\n## Phase breakdown (from trace)\n\n";
+    if (r.trace_dropped > 0) {
+      os << "trace truncated: " << r.trace_dropped
+         << " span events dropped\n\n";
+    }
     os << "| span | count | total ms |\n|------|------:|---------:|\n";
     for (const PhaseStats& ps : r.phases) {
       os << "| `" << ps.name << "` | " << ps.count << " | "

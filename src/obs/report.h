@@ -146,6 +146,9 @@ struct RunReport {
   FaultSummary faults;
   TransportSummary transport;
   std::vector<PhaseStats> phases;       // by total_us, descending
+  // Span events the trace rings overwrote (summed `ring_overflow` args):
+  // when non-zero, `phases` covers only the events that survived.
+  std::uint64_t trace_dropped = 0;
 
   std::uint64_t total_wire_bytes() const {
     return upload_wire_bytes + download_wire_bytes;

@@ -45,7 +45,8 @@ void conv2d_forward_fused(const float* img, std::size_t c, std::size_t h,
   // single GEMM would, so the fusion is bit-exact.
   for (std::size_t r0 = 0; r0 < col_rows; r0 += kPanelRows) {
     const std::size_t r1 = std::min(col_rows, r0 + kPanelRows);
-    im2col_rows(img, c, h, w, kh, kw, stride, pad, r0, r1, panel.data());
+    im2col_rows(img, h, w, kh, kw, stride, pad, r0, r1, panel.data(),
+                out_area);
     kernel(0, out_c, out_area, r1 - r0, 1.0f, weights + r0, col_rows,
            panel.data(), out_area, out, out_area);
   }

@@ -17,27 +17,65 @@ namespace {
 // Below this many multiply-adds, thread dispatch costs more than it saves.
 constexpr std::size_t kParallelThreshold = 1u << 18;
 
-// Reusable per-thread transpose scratch: transposed matmuls run in the
-// training hot loop (conv backward does two per image), so the operand
-// copies must not hit the allocator every call. Two slots because one gemm
-// can transpose both A and B.
+// Reduction steps per transposed chunk. A transposed operand is brought to
+// the NN layout the kernels consume one chunk of k at a time, so the
+// scratch stays cache-sized (kTransChunk x the operand's other dimension)
+// however long k grows — conv dW reduces over a whole minibatch of output
+// positions.
+constexpr std::size_t kTransChunk = 256;
+
+using RangeKernel = void (*)(std::size_t, std::size_t, std::size_t,
+                             std::size_t, float, const float*, std::size_t,
+                             const float*, std::size_t, float*, std::size_t);
+
+// Reusable per-thread transpose scratch, one slot per operand, so the
+// transposed GEMMs of the training hot loop never hit the allocator.
 std::vector<float>& transpose_scratch(int slot) {
   thread_local std::vector<float> bufs[2];
   return bufs[slot];
 }
 
 // Materializes op(X) into `out` as a contiguous row-major (rows, cols)
-// buffer; input is (cols, rows) with leading dim ldx.
+// buffer through the dispatched transpose kernel; x is (cols, rows) with
+// leading dim ldx.
 const float* transpose_into(std::vector<float>& out, const float* x,
                             std::size_t rows, std::size_t cols,
                             std::size_t ldx) {
   out.resize(rows * cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      out[r * cols + c] = x[c * ldx + r];
-    }
-  }
+  simd::kernels().transpose(rows, cols, x, ldx, out.data(), cols);
   return out.data();
+}
+
+// C rows [m0, m1) += alpha * op(A) op(B) through the NN range kernel. With
+// a transposed operand the reduction runs in ascending kTransChunk chunks,
+// each transposed into scratch first; C accumulates across the chunks, so
+// every element still sees its k terms in ascending p — the single NN
+// call's sequence, bit for bit.
+void gemm_rows(RangeKernel kernel, Trans trans_a, Trans trans_b,
+               std::size_t m0, std::size_t m1, std::size_t n, std::size_t k,
+               float alpha, const float* a, std::size_t lda, const float* b,
+               std::size_t ldb, float* c, std::size_t ldc) {
+  if (trans_a == Trans::kNo && trans_b == Trans::kNo) {
+    kernel(m0, m1, n, k, alpha, a, lda, b, ldb, c, ldc);
+    return;
+  }
+  const std::size_t rows = m1 - m0;
+  for (std::size_t kb = 0; kb < k; kb += kTransChunk) {
+    const std::size_t kc = std::min(kTransChunk, k - kb);
+    // A^T is stored (k, m): rows [kb, kb+kc), columns [m0, m1).
+    const float* ak = trans_a == Trans::kYes
+                          ? transpose_into(transpose_scratch(0),
+                                           a + kb * lda + m0, rows, kc, lda)
+                          : a + m0 * lda + kb;
+    const std::size_t ldak = trans_a == Trans::kYes ? kc : lda;
+    // B^T is stored (n, k): columns [kb, kb+kc).
+    const float* bk = trans_b == Trans::kYes
+                          ? transpose_into(transpose_scratch(1), b + kb, kc,
+                                           n, ldb)
+                          : b + kb * ldb;
+    const std::size_t ldbk = trans_b == Trans::kYes ? n : ldb;
+    kernel(0, rows, n, kc, alpha, ak, ldak, bk, ldbk, c + m0 * ldc, ldc);
+  }
 }
 
 }  // namespace
@@ -71,33 +109,19 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
   }
   if (m == 0 || n == 0 || k == 0 || alpha == 0.0f) return;
 
-  // Normalize to the NN case by materializing transposed operands into the
-  // thread-local scratch. The copies are O(mk)/O(kn) against an O(mnk)
-  // kernel — negligible, and they keep the hot loop unit-stride.
-  const float* an = a;
-  std::size_t lda_n = lda;
-  if (trans_a == Trans::kYes) {
-    an = transpose_into(transpose_scratch(0), a, m, k, lda);
-    lda_n = k;
-  }
-  const float* bn = b;
-  std::size_t ldb_n = ldb;
-  if (trans_b == Trans::kYes) {
-    bn = transpose_into(transpose_scratch(1), b, k, n, ldb);
-    ldb_n = n;
-  }
-
   // The exact kernel is bit-identical to scalar at every ISA; the FMA-
   // contracted variant only runs under the --fast-math-kernels opt-in.
-  const auto kernel = util::fast_math_kernels() ? kt.gemm_nn_range_fma
-                                                : kt.gemm_nn_range;
+  const RangeKernel kernel = util::fast_math_kernels() ? kt.gemm_nn_range_fma
+                                                       : kt.gemm_nn_range;
   if (m * n * k >= kParallelThreshold && util::global_pool().size() > 0) {
     util::parallel_for_chunked(
         0, m, [&](std::size_t lo, std::size_t hi) {
-          kernel(lo, hi, n, k, alpha, an, lda_n, bn, ldb_n, c, ldc);
+          gemm_rows(kernel, trans_a, trans_b, lo, hi, n, k, alpha, a, lda, b,
+                    ldb, c, ldc);
         });
   } else {
-    kernel(0, m, n, k, alpha, an, lda_n, bn, ldb_n, c, ldc);
+    gemm_rows(kernel, trans_a, trans_b, 0, m, n, k, alpha, a, lda, b, ldb, c,
+              ldc);
   }
 }
 

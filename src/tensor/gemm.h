@@ -2,7 +2,10 @@
 
 // Single-precision GEMM: C = alpha * op(A) * op(B) + beta * C.
 //
-// Cache-blocked scalar kernel; rows of C are distributed over the global
+// Runs the NN range kernel of the dispatched SIMD table (tensor/simd.h),
+// bit-identical to the scalar golden kernel at every ISA. A transposed
+// operand is transposed in cache-sized chunks of the reduction dimension
+// rather than materialized whole. Rows of C are distributed over the global
 // thread pool when the problem is large enough to amortize dispatch. This is
 // the workhorse behind Linear layers and im2col convolution.
 

@@ -46,6 +46,12 @@ struct KernelTable {
   // c[i] = fl(c[i] * beta) for i in [0, n) — gemm's beta prologue.
   void (*scale)(float* c, std::size_t n, float beta);
 
+  // out[r * ldo + c] = x[c * ldx + r] for r < rows, c < cols: the (rows,
+  // cols) transpose of x, which is (cols, rows). A pure copy — gemm's
+  // transposed-operand path.
+  void (*transpose)(std::size_t rows, std::size_t cols, const float* x,
+                    std::size_t ldx, float* out, std::size_t ldo);
+
   // IEEE binary16 conversions, elementwise util::f32_to_f16 / f16_to_f32
   // (round-to-nearest-even; NaN payload bits preserved — SIMD tables patch
   // NaN lanes through the scalar functions because hardware converts

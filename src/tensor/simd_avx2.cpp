@@ -32,6 +32,12 @@ namespace {
 // per use) into an MR-interleaved KC panel, B read in place. For a fixed C
 // element the k terms still accumulate in ascending p with mul and add
 // rounded separately, so the result is bit-identical to the scalar loop.
+//
+// Every tile, full or partial (mr < kMr rows or nr < kNr columns), runs
+// the one microkernel with vmaskmov lane masks: masked-off lanes neither
+// read nor write memory, rows past mr keep pack_a's zero padding in
+// accumulators that are never stored, and every live lane performs the
+// same ascending-p fl(mul) -> fl(add) sequence.
 
 constexpr std::size_t kMr = 6;
 constexpr std::size_t kNr = 16;  // two __m256 per row
@@ -47,18 +53,36 @@ void pack_a(const float* a, std::size_t lda, std::size_t i0, std::size_t mr,
   }
 }
 
+// Lane mask with lanes [0, live) set, live clamped to [0, 8].
+__m256i lane_mask(std::ptrdiff_t live) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(live)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// One mr x nr tile (mr <= kMr, nr <= kNr) through lane masks; a full tile
+// simply has every lane live.
 template <bool kFma>
-void microkernel(const float* apack, std::size_t kc, const float* b,
-                 std::size_t ldb, float* c, std::size_t ldc) {
+void microkernel(const float* apack, std::size_t kc, std::size_t mr,
+                 std::size_t nr, const float* b, std::size_t ldb, float* c,
+                 std::size_t ldc) {
+  const auto live = static_cast<std::ptrdiff_t>(nr);
+  const __m256i bm0 = lane_mask(live);
+  const __m256i bm1 = lane_mask(live - 8);
+  const __m256i none = _mm256_setzero_si256();
+  __m256i m0[kMr];
+  __m256i m1[kMr];
   __m256 acc0[kMr];
   __m256 acc1[kMr];
   for (std::size_t r = 0; r < kMr; ++r) {
-    acc0[r] = _mm256_loadu_ps(c + r * ldc);
-    acc1[r] = _mm256_loadu_ps(c + r * ldc + 8);
+    m0[r] = r < mr ? bm0 : none;
+    m1[r] = r < mr ? bm1 : none;
+    acc0[r] = _mm256_maskload_ps(c + r * ldc, m0[r]);
+    acc1[r] = _mm256_maskload_ps(c + r * ldc + 8, m1[r]);
   }
   for (std::size_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(b + p * ldb);
-    const __m256 b1 = _mm256_loadu_ps(b + p * ldb + 8);
+    const float* bp = b + p * ldb;
+    const __m256 b0 = _mm256_maskload_ps(bp, bm0);
+    const __m256 b1 = _mm256_maskload_ps(bp + 8, bm1);
     const float* ap = apack + p * kMr;
     for (std::size_t r = 0; r < kMr; ++r) {
       const __m256 av = _mm256_broadcast_ss(ap + r);
@@ -72,24 +96,8 @@ void microkernel(const float* apack, std::size_t kc, const float* b,
     }
   }
   for (std::size_t r = 0; r < kMr; ++r) {
-    _mm256_storeu_ps(c + r * ldc, acc0[r]);
-    _mm256_storeu_ps(c + r * ldc + 8, acc1[r]);
-  }
-}
-
-// Partial tiles (row remainder or column tail): plain scalar loops with the
-// golden per-element order — any (i, j) may be computed scalar without
-// breaking bit-identity as long as p ascends.
-void edge_tile(const float* apack, std::size_t kc, std::size_t mr,
-               const float* b, std::size_t ldb, float* c, std::size_t ldc,
-               std::size_t nr) {
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* __restrict brow = b + p * ldb;
-    for (std::size_t r = 0; r < mr; ++r) {
-      const float av = apack[p * kMr + r];
-      float* __restrict crow = c + r * ldc;
-      for (std::size_t j = 0; j < nr; ++j) crow[j] += av * brow[j];
-    }
+    _mm256_maskstore_ps(c + r * ldc, m0[r], acc0[r]);
+    _mm256_maskstore_ps(c + r * ldc + 8, m1[r], acc1[r]);
   }
 }
 
@@ -108,16 +116,10 @@ void gemm_nn_range_avx2(std::size_t m0, std::size_t m1, std::size_t n,
     for (std::size_t kb = 0; kb < k; kb += kKc) {
       const std::size_t kc = std::min(kKc, k - kb);
       pack_a(a, lda, i0, mr, kb, kc, alpha, apack);
-      std::size_t j0 = 0;
-      if (mr == kMr) {
-        for (; j0 + kNr <= n; j0 += kNr) {
-          microkernel<kFma>(apack, kc, b + kb * ldb + j0, ldb,
-                            c + i0 * ldc + j0, ldc);
-        }
-      }
-      if (j0 < n) {
-        edge_tile(apack, kc, mr, b + kb * ldb + j0, ldb, c + i0 * ldc + j0,
-                  ldc, n - j0);
+      for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
+        const std::size_t nr = std::min(kNr, n - j0);
+        microkernel<kFma>(apack, kc, mr, nr, b + kb * ldb + j0, ldb,
+                          c + i0 * ldc + j0, ldc);
       }
     }
   }
@@ -132,6 +134,51 @@ void scale_avx2(float* c, std::size_t n, float beta) {
     _mm256_storeu_ps(c + i, _mm256_mul_ps(_mm256_loadu_ps(c + i), vb));
   }
   for (; i < n; ++i) c[i] *= beta;
+}
+
+// ------------------------------------------------------------- transpose
+
+// 8x8 blocks through registers, the ragged right and bottom edges element
+// by element. Each block loads source rows j and j+4 into the two 128-bit
+// halves of one register (the lane crossing rides on the load), then
+// transposes the two 4x4 halves in place with unpack + shuffle.
+void transpose_avx2(std::size_t rows, std::size_t cols, const float* x,
+                    std::size_t ldx, float* out, std::size_t ldo) {
+  const std::size_t rows8 = rows & ~std::size_t{7};
+  const std::size_t cols8 = cols & ~std::size_t{7};
+  const auto pair = [ldx](const float* s, std::size_t j) {
+    return _mm256_insertf128_ps(
+        _mm256_castps128_ps256(_mm_loadu_ps(s + j * ldx)),
+        _mm_loadu_ps(s + (j + 4) * ldx), 1);
+  };
+  for (std::size_t r0 = 0; r0 < rows8; r0 += 8) {
+    for (std::size_t c0 = 0; c0 < cols8; c0 += 8) {
+      const float* s = x + c0 * ldx + r0;
+      float* d = out + r0 * ldo + c0;
+      for (std::size_t half = 0; half < 8; half += 4) {
+        // Source columns r0+half .. r0+half+3 become output rows.
+        const __m256 v0 = pair(s + half, 0);
+        const __m256 v1 = pair(s + half, 1);
+        const __m256 v2 = pair(s + half, 2);
+        const __m256 v3 = pair(s + half, 3);
+        const __m256 t0 = _mm256_unpacklo_ps(v0, v1);
+        const __m256 t1 = _mm256_unpackhi_ps(v0, v1);
+        const __m256 t2 = _mm256_unpacklo_ps(v2, v3);
+        const __m256 t3 = _mm256_unpackhi_ps(v2, v3);
+        float* dh = d + half * ldo;
+        _mm256_storeu_ps(dh, _mm256_shuffle_ps(t0, t2, 0x44));
+        _mm256_storeu_ps(dh + ldo, _mm256_shuffle_ps(t0, t2, 0xEE));
+        _mm256_storeu_ps(dh + 2 * ldo, _mm256_shuffle_ps(t1, t3, 0x44));
+        _mm256_storeu_ps(dh + 3 * ldo, _mm256_shuffle_ps(t1, t3, 0xEE));
+      }
+    }
+  }
+  for (std::size_t c = 0; c < cols; ++c) {
+    const float* src = x + c * ldx;
+    for (std::size_t r = c < cols8 ? rows8 : 0; r < rows; ++r) {
+      out[r * ldo + c] = src[r];
+    }
+  }
 }
 
 // ------------------------------------------------------------------- f16
@@ -297,6 +344,7 @@ const KernelTable* avx2_table() {
       &gemm_nn_range_avx2<false>,
       &gemm_nn_range_avx2<true>,
       &scale_avx2,
+      &transpose_avx2,
       &f16_encode_avx2,
       &f16_decode_avx2,
       &minmax_finite_avx2,

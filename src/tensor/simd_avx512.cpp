@@ -2,7 +2,8 @@
 // built with the matching -mavx512* flags and -ffp-contract=off, entered
 // only through simd_dispatch.cpp). Same bit-identity contract as the AVX2
 // table — see simd_avx2.cpp for the per-kernel equivalence arguments; this
-// file is the 16-lane analogue with mask registers instead of movemasks.
+// file is the 16-lane analogue with mask registers instead of movemasks,
+// and its GEMM edge tiles run masked through the register microkernel.
 
 #if defined(__x86_64__) || defined(__i386__)
 
@@ -22,60 +23,108 @@ namespace detail {
 namespace {
 
 // ------------------------------------------------------------------ gemm
+//
+// One register microkernel covers every tile, full or partial: a tile of
+// mr <= kRows rows and nr <= kNr columns loads and stores C through lane
+// masks, reads B through zero-masked loads (masked lanes never touch
+// memory), and keeps the zero-padded A rows of pack_a in dead
+// accumulators that are never stored. Every live lane still performs
+// fl(mul) then fl(add) in ascending p, so partial tiles are as
+// bit-identical to the scalar kernel as full ones.
 
-constexpr std::size_t kMr = 8;
+// Tile height kRows is 8, or 6 when every row of the range fits one 6-row
+// tile: LeNet's conv1 GEMMs have exactly 6 output channels, and 8-row tiles
+// would spend a quarter of their multiply-adds on padding there. Taller
+// tiles elsewhere mean fewer, longer microkernel calls (m = 16 is two full
+// 8-row tiles, not 6 + 6 + 4).
+constexpr std::size_t kMaxRows = 8;
 constexpr std::size_t kNr = 32;  // two __m512 per row
 constexpr std::size_t kKc = 256;
 
+template <std::size_t kRows>
 void pack_a(const float* a, std::size_t lda, std::size_t i0, std::size_t mr,
             std::size_t kb, std::size_t kc, float alpha, float* apack) {
   for (std::size_t p = 0; p < kc; ++p) {
-    for (std::size_t r = 0; r < kMr; ++r) {
-      apack[p * kMr + r] =
+    for (std::size_t r = 0; r < kRows; ++r) {
+      apack[p * kRows + r] =
           r < mr ? alpha * a[(i0 + r) * lda + kb + p] : 0.0f;
     }
   }
 }
 
-template <bool kFma>
-void microkernel(const float* apack, std::size_t kc, const float* b,
-                 std::size_t ldb, float* c, std::size_t ldc) {
-  __m512 acc0[kMr];
-  __m512 acc1[kMr];
-  for (std::size_t r = 0; r < kMr; ++r) {
-    acc0[r] = _mm512_loadu_ps(c + r * ldc);
-    acc1[r] = _mm512_loadu_ps(c + r * ldc + 16);
+// Mask of the first min(nr, 16) lanes.
+__mmask16 lane_mask(std::size_t nr) {
+  return nr >= 16 ? static_cast<__mmask16>(0xffffu)
+                  : static_cast<__mmask16>((1u << nr) - 1u);
+}
+
+// kNv = number of live __m512 columns: 1 for nr <= 16, 2 for nr <= 32.
+template <bool kFma, int kNv, std::size_t kRows>
+void microkernel(const float* apack, std::size_t kc, std::size_t mr,
+                 std::size_t nr, const float* b, std::size_t ldb, float* c,
+                 std::size_t ldc) {
+  // Per-row lane masks; rows past mr get an empty mask, so their loads
+  // read nothing and their stores write nothing.
+  __mmask16 m0[kRows];
+  __mmask16 m1[kRows];
+  for (std::size_t r = 0; r < kRows; ++r) {
+    m0[r] = r < mr ? lane_mask(nr) : 0;
+    m1[r] = r < mr && kNv == 2 ? lane_mask(nr - 16) : 0;
+  }
+  __m512 acc0[kRows];
+  __m512 acc1[kRows];
+  for (std::size_t r = 0; r < kRows; ++r) {
+    acc0[r] = _mm512_maskz_loadu_ps(m0[r], c + r * ldc);
+    if constexpr (kNv == 2) {
+      acc1[r] = _mm512_maskz_loadu_ps(m1[r], c + r * ldc + 16);
+    }
   }
   for (std::size_t p = 0; p < kc; ++p) {
-    const __m512 b0 = _mm512_loadu_ps(b + p * ldb);
-    const __m512 b1 = _mm512_loadu_ps(b + p * ldb + 16);
-    const float* ap = apack + p * kMr;
-    for (std::size_t r = 0; r < kMr; ++r) {
+    const __m512 b0 = _mm512_maskz_loadu_ps(m0[0], b + p * ldb);
+    const __m512 b1 = kNv == 2
+                          ? _mm512_maskz_loadu_ps(m1[0], b + p * ldb + 16)
+                          : _mm512_setzero_ps();
+    const float* ap = apack + p * kRows;
+    for (std::size_t r = 0; r < kRows; ++r) {
       const __m512 av = _mm512_set1_ps(ap[r]);
       if constexpr (kFma) {
         acc0[r] = _mm512_fmadd_ps(av, b0, acc0[r]);
-        acc1[r] = _mm512_fmadd_ps(av, b1, acc1[r]);
+        if constexpr (kNv == 2) acc1[r] = _mm512_fmadd_ps(av, b1, acc1[r]);
       } else {
         acc0[r] = _mm512_add_ps(acc0[r], _mm512_mul_ps(av, b0));
-        acc1[r] = _mm512_add_ps(acc1[r], _mm512_mul_ps(av, b1));
+        if constexpr (kNv == 2) {
+          acc1[r] = _mm512_add_ps(acc1[r], _mm512_mul_ps(av, b1));
+        }
       }
     }
   }
-  for (std::size_t r = 0; r < kMr; ++r) {
-    _mm512_storeu_ps(c + r * ldc, acc0[r]);
-    _mm512_storeu_ps(c + r * ldc + 16, acc1[r]);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    _mm512_mask_storeu_ps(c + r * ldc, m0[r], acc0[r]);
+    if constexpr (kNv == 2) {
+      _mm512_mask_storeu_ps(c + r * ldc + 16, m1[r], acc1[r]);
+    }
   }
 }
 
-void edge_tile(const float* apack, std::size_t kc, std::size_t mr,
-               const float* b, std::size_t ldb, float* c, std::size_t ldc,
-               std::size_t nr) {
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* __restrict brow = b + p * ldb;
-    for (std::size_t r = 0; r < mr; ++r) {
-      const float av = apack[p * kMr + r];
-      float* __restrict crow = c + r * ldc;
-      for (std::size_t j = 0; j < nr; ++j) crow[j] += av * brow[j];
+template <bool kFma, std::size_t kRows>
+void gemm_tiles(std::size_t m0, std::size_t m1, std::size_t n, std::size_t k,
+                float alpha, const float* a, std::size_t lda, const float* b,
+                std::size_t ldb, float* c, std::size_t ldc, float* apack) {
+  for (std::size_t i0 = m0; i0 < m1; i0 += kRows) {
+    const std::size_t mr = std::min(kRows, m1 - i0);
+    for (std::size_t kb = 0; kb < k; kb += kKc) {
+      const std::size_t kc = std::min(kKc, k - kb);
+      pack_a<kRows>(a, lda, i0, mr, kb, kc, alpha, apack);
+      for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
+        const std::size_t nr = std::min(kNr, n - j0);
+        const float* bt = b + kb * ldb + j0;
+        float* ct = c + i0 * ldc + j0;
+        if (nr > 16) {
+          microkernel<kFma, 2, kRows>(apack, kc, mr, nr, bt, ldb, ct, ldc);
+        } else {
+          microkernel<kFma, 1, kRows>(apack, kc, mr, nr, bt, ldb, ct, ldc);
+        }
+      }
     }
   }
 }
@@ -86,26 +135,13 @@ void gemm_nn_range_avx512(std::size_t m0, std::size_t m1, std::size_t n,
                           std::size_t lda, const float* b, std::size_t ldb,
                           float* c, std::size_t ldc) {
   thread_local std::vector<float> apack_buf;
-  apack_buf.resize(kMr * kKc);
-  float* apack = apack_buf.data();
-
-  for (std::size_t i0 = m0; i0 < m1; i0 += kMr) {
-    const std::size_t mr = std::min(kMr, m1 - i0);
-    for (std::size_t kb = 0; kb < k; kb += kKc) {
-      const std::size_t kc = std::min(kKc, k - kb);
-      pack_a(a, lda, i0, mr, kb, kc, alpha, apack);
-      std::size_t j0 = 0;
-      if (mr == kMr) {
-        for (; j0 + kNr <= n; j0 += kNr) {
-          microkernel<kFma>(apack, kc, b + kb * ldb + j0, ldb,
-                            c + i0 * ldc + j0, ldc);
-        }
-      }
-      if (j0 < n) {
-        edge_tile(apack, kc, mr, b + kb * ldb + j0, ldb, c + i0 * ldc + j0,
-                  ldc, n - j0);
-      }
-    }
+  apack_buf.resize(kMaxRows * kKc);
+  if (m1 - m0 <= 6) {
+    gemm_tiles<kFma, 6>(m0, m1, n, k, alpha, a, lda, b, ldb, c, ldc,
+                        apack_buf.data());
+  } else {
+    gemm_tiles<kFma, kMaxRows>(m0, m1, n, k, alpha, a, lda, b, ldb, c, ldc,
+                               apack_buf.data());
   }
 }
 
@@ -267,6 +303,7 @@ const KernelTable* avx512_table() {
       &gemm_nn_range_avx512<false>,
       &gemm_nn_range_avx512<true>,
       &scale_avx512,
+      avx2_table()->transpose,  // an AVX-512 host always has AVX2
       &f16_encode_avx512,
       &f16_decode_avx512,
       &minmax_finite_avx512,

@@ -57,6 +57,24 @@ void scale_scalar(float* c, std::size_t n, float beta) {
   for (std::size_t i = 0; i < n; ++i) c[i] *= beta;
 }
 
+// Square tiles keep a source run and the destination rows it scatters to
+// in L1.
+constexpr std::size_t kTransposeTile = 16;
+
+void transpose_scalar(std::size_t rows, std::size_t cols, const float* x,
+                      std::size_t ldx, float* out, std::size_t ldo) {
+  for (std::size_t c0 = 0; c0 < cols; c0 += kTransposeTile) {
+    const std::size_t c1 = std::min(cols, c0 + kTransposeTile);
+    for (std::size_t r0 = 0; r0 < rows; r0 += kTransposeTile) {
+      const std::size_t r1 = std::min(rows, r0 + kTransposeTile);
+      for (std::size_t c = c0; c < c1; ++c) {
+        const float* src = x + c * ldx;
+        for (std::size_t r = r0; r < r1; ++r) out[r * ldo + c] = src[r];
+      }
+    }
+  }
+}
+
 void f16_encode_scalar(const float* src, std::size_t n, std::uint16_t* dst) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = util::f32_to_f16(src[i]);
 }
@@ -115,6 +133,7 @@ const KernelTable& scalar_table() {
       &gemm_nn_range_scalar,
       &gemm_nn_range_scalar,  // no reassociation to exploit without vectors
       &scale_scalar,
+      &transpose_scalar,
       &f16_encode_scalar,
       &f16_decode_scalar,
       &minmax_finite_scalar,

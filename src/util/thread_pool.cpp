@@ -124,8 +124,11 @@ void ThreadPool::parallel_for_chunked(
         const std::lock_guard<std::mutex> lock(shared.error_mu);
         if (!shared.error) shared.error = std::current_exception();
       }
+      // Count down under done_mu: the caller's wait re-checks `pending`
+      // under the same mutex, so it cannot see zero, return, and destroy
+      // `shared` while this worker is still about to lock or notify it.
+      const std::lock_guard<std::mutex> lock(shared.done_mu);
       if (shared.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        const std::lock_guard<std::mutex> lock(shared.done_mu);
         shared.done_cv.notify_one();
       }
     });

@@ -22,7 +22,7 @@ TEST(Im2Col, Known3x3NoPad) {
   // 1x3x3 image, 2x2 kernel, stride 1, no pad -> col is (4, 4).
   const std::vector<float> img = {1, 2, 3, 4, 5, 6, 7, 8, 9};
   std::vector<float> col(4 * 4, -1.0f);
-  im2col(img.data(), 1, 3, 3, 2, 2, 1, 0, col.data());
+  im2col(img.data(), 1, 1, 3, 3, 2, 2, 1, 0, col.data());
   // Row 0: top-left of each patch.
   const std::vector<float> expect_row0 = {1, 2, 4, 5};
   const std::vector<float> expect_row3 = {5, 6, 8, 9};
@@ -36,7 +36,7 @@ TEST(Im2Col, PaddingYieldsZeros) {
   const std::vector<float> img = {1, 2, 3, 4};  // 1x2x2
   // 3x3 kernel, pad 1, stride 1 -> out 2x2, col (9, 4).
   std::vector<float> col(9 * 4, -1.0f);
-  im2col(img.data(), 1, 2, 2, 3, 3, 1, 1, col.data());
+  im2col(img.data(), 1, 1, 2, 2, 3, 3, 1, 1, col.data());
   // First row (ky=0,kx=0): every output position looks one up-left; for the
   // (0,0) output that's the padded corner.
   EXPECT_EQ(col[0 * 4 + 0], 0.0f);
@@ -51,7 +51,7 @@ TEST(Im2Col, MultiChannelRowOrdering) {
   // 2 channels of 2x2; 1x1 kernel: col row c is channel c flattened.
   const std::vector<float> img = {1, 2, 3, 4, 10, 20, 30, 40};
   std::vector<float> col(2 * 4);
-  im2col(img.data(), 2, 2, 2, 1, 1, 1, 0, col.data());
+  im2col(img.data(), 1, 2, 2, 2, 1, 1, 1, 0, col.data());
   EXPECT_EQ(col[0], 1.0f);
   EXPECT_EQ(col[3], 4.0f);
   EXPECT_EQ(col[4], 10.0f);
@@ -78,9 +78,9 @@ TEST_P(Im2ColAdjoint, DotTest) {
   for (auto& v : y) v = rng.normalf(0, 1);
 
   std::vector<float> col(col_size);
-  im2col(x.data(), c, h, w, k, k, stride, pad, col.data());
+  im2col(x.data(), 1, c, h, w, k, k, stride, pad, col.data());
   std::vector<float> img(c * h * w, 0.0f);
-  col2im(y.data(), c, h, w, k, k, stride, pad, img.data());
+  col2im(y.data(), 1, c, h, w, k, k, stride, pad, img.data());
 
   double lhs = 0.0;
   for (std::size_t i = 0; i < col_size; ++i) {

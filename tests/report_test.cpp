@@ -148,6 +148,34 @@ TEST(Report, TraceBecomesPhaseBreakdown) {
   EXPECT_EQ(r.phases[1].total_us, 500u);
 }
 
+TEST(Report, TruncatedTraceIsReported) {
+  // Two threads' rings overflowed: their ring_overflow instant events carry
+  // the dropped counts, which the report sums and states above the table.
+  const char* trace =
+      "{\"traceEvents\":["
+      "{\"name\":\"client.train\",\"ph\":\"X\",\"ts\":0,\"dur\":1000},"
+      "{\"ph\":\"I\",\"pid\":1,\"tid\":1,\"name\":\"ring_overflow\","
+      "\"ts\":0,\"args\":{\"dropped\":126000}},"
+      "{\"ph\":\"I\",\"pid\":1,\"tid\":2,\"name\":\"ring_overflow\","
+      "\"ts\":0,\"args\":{\"dropped\":759}}"
+      "]}";
+  const report::RunReport r = report::build_report(kJournal, "", trace);
+  EXPECT_EQ(r.trace_dropped, 126759u);
+  ASSERT_EQ(r.phases.size(), 1u);  // instant events are not phases
+  const json::Value doc = json::parse(report::to_json(r));
+  EXPECT_DOUBLE_EQ(doc.number_or("trace_dropped", -1.0), 126759.0);
+  const std::string md = report::to_markdown(r);
+  const auto note = md.find("trace truncated: 126759 span events dropped");
+  ASSERT_NE(note, std::string::npos);
+  EXPECT_LT(note, md.find("| span | count |"));
+
+  // A complete trace says nothing about truncation.
+  const report::RunReport full = report::build_report(kJournal, "", kTrace);
+  EXPECT_EQ(full.trace_dropped, 0u);
+  EXPECT_EQ(report::to_markdown(full).find("trace truncated"),
+            std::string::npos);
+}
+
 TEST(Report, JsonIsDeterministicAndParseable) {
   const report::RunReport r =
       report::build_report(kJournal, kMetrics, kTrace);

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "fl/codec.h"
@@ -70,30 +71,81 @@ const GemmCase kGemmCases[] = {
     {64, 64, 64, 0, 0, 0, 1.0f},  {65, 63, 130, 0, 5, 0, 1.0f},
     {128, 17, 200, 2, 0, 3, 1.0f}, {6, 16, 256, 0, 0, 0, -0.75f},
     {12, 48, 300, 1, 1, 1, 1.0f}, {9, 100, 31, 0, 0, 0, 2.0f},
+    // LeNet-5 on 3x16x16 images: per-image conv (forward, dW, dcol for
+    // conv1 and conv2) and fc1 ...
+    {6, 256, 75, 0, 0, 0, 1.0f},  {6, 75, 256, 0, 0, 0, 1.0f},
+    {75, 256, 6, 0, 0, 0, 1.0f},  {16, 16, 150, 0, 0, 0, 1.0f},
+    {16, 150, 16, 0, 0, 0, 1.0f}, {150, 16, 16, 0, 0, 0, 1.0f},
+    {10, 120, 256, 0, 0, 0, 1.0f}, {120, 10, 64, 0, 0, 0, 1.0f},
+    // ... and the minibatch (N = 10) forms over N*OH*OW columns.
+    {6, 2560, 75, 0, 0, 0, 1.0f}, {6, 75, 2560, 0, 0, 0, 1.0f},
+    {75, 2560, 6, 0, 0, 0, 1.0f}, {16, 160, 150, 0, 0, 0, 1.0f},
+    {16, 150, 160, 0, 0, 0, 1.0f}, {150, 160, 16, 0, 0, 0, 1.0f},
 };
+
+// Operands sized to end exactly at their last valid element, so a SIMD lane
+// that reads or writes past a row tail leaves the allocation (and fails
+// under the asan_smoke sanitizer build).
+struct TightGemm {
+  std::vector<float> a, b, c0;
+  TightGemm(const GemmCase& gc, util::Rng& rng)
+      : a(random_floats((gc.m - 1) * (gc.k + gc.pad_a) + gc.k, rng)),
+        b(random_floats((gc.k - 1) * (gc.n + gc.pad_b) + gc.n, rng)),
+        c0(random_floats((gc.m - 1) * (gc.n + gc.pad_c) + gc.n, rng)) {}
+};
+
+// Runs every reachable ISA's exact kernel on one case: bit-equal to scalar.
+// The FMA variant stays within the tolerance of GemmFmaVariantWithinTolerance.
+void expect_gemm_case_parity(const GemmCase& gc, util::Rng& rng) {
+  const std::size_t lda = gc.k + gc.pad_a;
+  const std::size_t ldb = gc.n + gc.pad_b;
+  const std::size_t ldc = gc.n + gc.pad_c;
+  const TightGemm ops(gc, rng);
+  std::vector<float> want = ops.c0;
+  simd::kernels_for(util::SimdIsa::kScalar)
+      .gemm_nn_range(0, gc.m, gc.n, gc.k, gc.alpha, ops.a.data(), lda,
+                     ops.b.data(), ldb, want.data(), ldc);
+  for (const auto isa : reachable_isas()) {
+    const auto& kt = simd::kernels_for(isa);
+    std::vector<float> got = ops.c0;
+    kt.gemm_nn_range(0, gc.m, gc.n, gc.k, gc.alpha, ops.a.data(), lda,
+                     ops.b.data(), ldb, got.data(), ldc);
+    EXPECT_TRUE(bit_equal(want, got))
+        << "isa=" << util::isa_name(isa) << " m=" << gc.m << " n=" << gc.n
+        << " k=" << gc.k;
+    std::vector<float> fma = ops.c0;
+    kt.gemm_nn_range_fma(0, gc.m, gc.n, gc.k, gc.alpha, ops.a.data(), lda,
+                         ops.b.data(), ldb, fma.data(), ldc);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_NEAR(want[i], fma[i], 1e-3f)
+          << "fma isa=" << util::isa_name(isa) << " m=" << gc.m
+          << " n=" << gc.n << " k=" << gc.k << " at " << i;
+    }
+  }
+}
 
 TEST(SimdKernel, GemmBitExactAcrossIsas) {
   util::Rng rng(42);
-  for (const GemmCase& gc : kGemmCases) {
-    const std::size_t lda = gc.k + gc.pad_a;
-    const std::size_t ldb = gc.n + gc.pad_b;
-    const std::size_t ldc = gc.n + gc.pad_c;
-    const auto a = random_floats(gc.m * lda, rng);
-    const auto b = random_floats(gc.k * ldb, rng);
-    const auto c0 = random_floats(gc.m * ldc, rng);
+  for (const GemmCase& gc : kGemmCases) expect_gemm_case_parity(gc, rng);
+}
 
-    std::vector<float> want = c0;
-    simd::kernels_for(util::SimdIsa::kScalar)
-        .gemm_nn_range(0, gc.m, gc.n, gc.k, gc.alpha, a.data(), lda, b.data(),
-                       ldb, want.data(), ldc);
-    for (const auto isa : reachable_isas()) {
-      std::vector<float> got = c0;
-      simd::kernels_for(isa).gemm_nn_range(0, gc.m, gc.n, gc.k, gc.alpha,
-                                           a.data(), lda, b.data(), ldb,
-                                           got.data(), ldc);
-      EXPECT_TRUE(bit_equal(want, got))
-          << "isa=" << util::isa_name(isa) << " m=" << gc.m << " n=" << gc.n
-          << " k=" << gc.k;
+TEST(SimdKernel, GemmEdgeTileSweepBitExact) {
+  // Every partial-tile shape: rows 1..9 cover a lone partial tile, a full
+  // one, and a full one plus a partial one at every register tile height
+  // in use (AVX2 6 rows; AVX-512 6 rows for m <= 6, else 8); columns 1..33
+  // plus 63 and 65 cover every lane-mask width of one and two vectors and
+  // the ragged tail after full tiles; k spans one step to a LeNet conv1
+  // reduction. Padded leading dims and alpha != 1 throughout.
+  util::Rng rng(48);
+  std::vector<std::size_t> ns;
+  for (std::size_t n = 1; n <= 33; ++n) ns.push_back(n);
+  ns.push_back(63);
+  ns.push_back(65);
+  for (std::size_t m = 1; m <= 9; ++m) {
+    for (const std::size_t n : ns) {
+      for (const std::size_t k : {1, 6, 16, 75}) {
+        expect_gemm_case_parity({m, n, k, 3, 5, 2, 0.75f}, rng);
+      }
     }
   }
 }
@@ -140,49 +192,91 @@ TEST(SimdKernel, GemmFmaVariantWithinTolerance) {
 }
 
 TEST(SimdKernel, TensorGemmTransposesMatchScalarDispatch) {
-  // tensor::gemm end to end (transpose scratch + beta prologue + dispatch):
-  // forced-SIMD results must equal forced-scalar results bit for bit.
+  // tensor::gemm end to end (chunked transposes + beta prologue +
+  // dispatch): every transpose combination at every ISA must equal the
+  // forced-scalar NN result bit for bit. k = 600 spans three transpose
+  // chunks, the last one ragged.
   IsaGuard guard;
   util::Rng rng(45);
-  const std::size_t m = 21, n = 34, k = 55;
-  const auto a = random_floats(m * k, rng);
-  const auto at = [&] {  // a transposed, (k, m)
-    std::vector<float> t(k * m);
-    for (std::size_t i = 0; i < m; ++i)
-      for (std::size_t p = 0; p < k; ++p) t[p * m + i] = a[i * k + p];
-    return t;
-  }();
-  const auto b = random_floats(k * n, rng);
-  const auto bt = [&] {  // b transposed, (n, k)
-    std::vector<float> t(n * k);
-    for (std::size_t p = 0; p < k; ++p)
-      for (std::size_t j = 0; j < n; ++j) t[j * k + p] = b[p * n + j];
-    return t;
-  }();
-  const auto c0 = random_floats(m * n, rng);
-  const float betas[] = {0.0f, 1.0f, 0.5f};
-  for (const float beta : betas) {
-    ASSERT_TRUE(util::force_isa_for_testing(util::SimdIsa::kScalar));
-    std::vector<float> nn = c0, nt = c0, tn = c0, tt = c0;
+  struct Shape { std::size_t m, n, k; };
+  for (const Shape sh : {Shape{21, 34, 55}, Shape{6, 75, 600},
+                         Shape{75, 40, 6}}) {
+    const std::size_t m = sh.m, n = sh.n, k = sh.k;
+    const auto a = random_floats(m * k, rng);
+    const auto at = [&] {  // a transposed, (k, m)
+      std::vector<float> t(k * m);
+      for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t p = 0; p < k; ++p) t[p * m + i] = a[i * k + p];
+      return t;
+    }();
+    const auto b = random_floats(k * n, rng);
+    const auto bt = [&] {  // b transposed, (n, k)
+      std::vector<float> t(n * k);
+      for (std::size_t p = 0; p < k; ++p)
+        for (std::size_t j = 0; j < n; ++j) t[j * k + p] = b[p * n + j];
+      return t;
+    }();
+    const auto c0 = random_floats(m * n, rng);
     using tensor::Trans;
-    tensor::gemm(Trans::kNo, Trans::kNo, m, n, k, 1.0f, a.data(), k, b.data(),
-                 n, beta, nn.data(), n);
-    tensor::gemm(Trans::kNo, Trans::kYes, m, n, k, 1.0f, a.data(), k,
-                 bt.data(), k, beta, nt.data(), n);
-    tensor::gemm(Trans::kYes, Trans::kNo, m, n, k, 1.0f, at.data(), m,
-                 b.data(), n, beta, tn.data(), n);
-    tensor::gemm(Trans::kYes, Trans::kYes, m, n, k, 1.0f, at.data(), m,
-                 bt.data(), k, beta, tt.data(), n);
-    EXPECT_TRUE(bit_equal(nn, nt));
-    EXPECT_TRUE(bit_equal(nn, tn));
-    EXPECT_TRUE(bit_equal(nn, tt));
-    for (const auto isa : reachable_isas()) {
-      ASSERT_TRUE(util::force_isa_for_testing(isa));
-      std::vector<float> got = c0;
+    for (const float beta : {0.0f, 1.0f, 0.5f}) {
+      ASSERT_TRUE(util::force_isa_for_testing(util::SimdIsa::kScalar));
+      std::vector<float> want = c0;
       tensor::gemm(Trans::kNo, Trans::kNo, m, n, k, 1.0f, a.data(), k,
-                   b.data(), n, beta, got.data(), n);
-      EXPECT_TRUE(bit_equal(nn, got))
-          << "isa=" << util::isa_name(isa) << " beta=" << beta;
+                   b.data(), n, beta, want.data(), n);
+      for (const auto isa : reachable_isas()) {
+        ASSERT_TRUE(util::force_isa_for_testing(isa));
+        std::vector<float> nn = c0, nt = c0, tn = c0, tt = c0;
+        tensor::gemm(Trans::kNo, Trans::kNo, m, n, k, 1.0f, a.data(), k,
+                     b.data(), n, beta, nn.data(), n);
+        tensor::gemm(Trans::kNo, Trans::kYes, m, n, k, 1.0f, a.data(), k,
+                     bt.data(), k, beta, nt.data(), n);
+        tensor::gemm(Trans::kYes, Trans::kNo, m, n, k, 1.0f, at.data(), m,
+                     b.data(), n, beta, tn.data(), n);
+        tensor::gemm(Trans::kYes, Trans::kYes, m, n, k, 1.0f, at.data(), m,
+                     bt.data(), k, beta, tt.data(), n);
+        const std::string where = std::string("isa=") + util::isa_name(isa) +
+                                  " m=" + std::to_string(m) +
+                                  " k=" + std::to_string(k) +
+                                  " beta=" + std::to_string(beta);
+        EXPECT_TRUE(bit_equal(want, nn)) << where;
+        EXPECT_TRUE(bit_equal(want, nt)) << where;
+        EXPECT_TRUE(bit_equal(want, tn)) << where;
+        EXPECT_TRUE(bit_equal(want, tt)) << where;
+      }
+    }
+  }
+}
+
+TEST(SimdKernel, TransposeBitExactAcrossIsas) {
+  // A pure copy: arbitrary bit patterns (NaN payloads included) must land
+  // unchanged, for ragged shapes around the 8x8 register block and with
+  // padded leading dims on both sides; the output ends exactly at its last
+  // element.
+  util::Rng rng(49);
+  struct Shape { std::size_t rows, cols, pad_x, pad_o; };
+  for (const Shape sh : {Shape{1, 1, 0, 0}, Shape{7, 9, 2, 1},
+                         Shape{8, 8, 0, 0}, Shape{16, 75, 3, 0},
+                         Shape{256, 75, 0, 5}, Shape{33, 17, 1, 1}}) {
+    const std::size_t ldx = sh.rows + sh.pad_x;
+    const std::size_t ldo = sh.cols + sh.pad_o;
+    std::vector<float> x((sh.cols - 1) * ldx + sh.rows);
+    for (auto& v : x) {
+      const auto bits = static_cast<std::uint32_t>(rng.next_u64());
+      std::memcpy(&v, &bits, sizeof(v));
+    }
+    std::vector<float> want((sh.rows - 1) * ldo + sh.cols, 0.0f);
+    for (std::size_t r = 0; r < sh.rows; ++r) {
+      for (std::size_t c = 0; c < sh.cols; ++c) {
+        std::memcpy(&want[r * ldo + c], &x[c * ldx + r], sizeof(float));
+      }
+    }
+    for (const auto isa : reachable_isas()) {
+      std::vector<float> got(want.size(), 0.0f);
+      simd::kernels_for(isa).transpose(sh.rows, sh.cols, x.data(), ldx,
+                                       got.data(), ldo);
+      EXPECT_TRUE(bit_equal(want, got))
+          << "isa=" << util::isa_name(isa) << " rows=" << sh.rows
+          << " cols=" << sh.cols;
     }
   }
 }
@@ -203,7 +297,7 @@ TEST(SimdKernel, Im2colRowsMatchesFullExpansion) {
     const std::size_t ow = tensor::conv_out_dim(p.w, p.kw, p.stride, p.pad);
     const std::size_t rows = p.c * p.kh * p.kw;
     std::vector<float> full(rows * oh * ow);
-    tensor::im2col(img.data(), p.c, p.h, p.w, p.kh, p.kw, p.stride, p.pad,
+    tensor::im2col(img.data(), 1, p.c, p.h, p.w, p.kh, p.kw, p.stride, p.pad,
                    full.data());
     // Reassemble from panels of several sizes, including ragged ones.
     for (const std::size_t panel : {std::size_t{1}, std::size_t{7},
@@ -211,8 +305,9 @@ TEST(SimdKernel, Im2colRowsMatchesFullExpansion) {
       std::vector<float> piecewise(rows * oh * ow);
       for (std::size_t r0 = 0; r0 < rows; r0 += panel) {
         const std::size_t r1 = std::min(rows, r0 + panel);
-        tensor::im2col_rows(img.data(), p.c, p.h, p.w, p.kh, p.kw, p.stride,
-                            p.pad, r0, r1, piecewise.data() + r0 * oh * ow);
+        tensor::im2col_rows(img.data(), p.h, p.w, p.kh, p.kw, p.stride,
+                            p.pad, r0, r1, piecewise.data() + r0 * oh * ow,
+                            oh * ow);
       }
       EXPECT_TRUE(bit_equal(full, piecewise))
           << "c=" << p.c << " stride=" << p.stride << " panel=" << panel;
@@ -238,7 +333,7 @@ TEST(SimdKernel, FusedConvMatchesUnfusedAcrossIsas) {
     // Unfused reference under forced scalar dispatch.
     ASSERT_TRUE(util::force_isa_for_testing(util::SimdIsa::kScalar));
     std::vector<float> col(rows * oh * ow);
-    tensor::im2col(img.data(), p.c, p.h, p.w, p.k, p.k, p.stride, p.pad,
+    tensor::im2col(img.data(), 1, p.c, p.h, p.w, p.k, p.k, p.stride, p.pad,
                    col.data());
     std::vector<float> want(p.oc * oh * ow);
     tensor::gemm(tensor::Trans::kNo, tensor::Trans::kNo, p.oc, oh * ow, rows,
