@@ -347,6 +347,21 @@ void BM_ResNet9TrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_ResNet9TrainStep);
 
+// Eager synthesis of n clients at fedclust_setup_2k's per-client sizes
+// (cifar10, 20% label skew, 10 train + 5 test samples each) — the data
+// build every materialized run pays once at setup.
+void BM_MakeFederatedData(benchmark::State& state) {
+  data::FederatedConfig cfg;
+  cfg.n_clients = static_cast<std::size_t>(state.range(0));
+  cfg.train_per_client = 10;
+  cfg.test_per_client = 5;
+  const auto spec = data::dataset_spec("cifar10");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(data::make_federated_data(spec, cfg, 3));
+  }
+}
+BENCHMARK(BM_MakeFederatedData)->Arg(2000)->Unit(benchmark::kMillisecond);
+
 // Proximity matrix over n clients' classifier weights (850 floats each for
 // LeNet-5/10 classes) — FedClust's Eq. 3 cost.
 void BM_ProximityMatrix(benchmark::State& state) {

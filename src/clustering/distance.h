@@ -20,7 +20,13 @@ tensor::Tensor distance_matrix(
     std::size_t n,
     const std::function<float(std::size_t, std::size_t)>& dist);
 
-// ||v_p - v_q||_2 over a set of equal-length vectors.
+// ||v_p - v_q||_2 over a set of equal-length vectors (throws
+// std::invalid_argument if lengths differ); every entry is bit-equal to
+// tensor::l2_distance on its pair, at any FEDCLUST_THREADS and ISA. Cost:
+// n²/2 pairs of dim double operations, spread over the pool (one task per
+// pair of 32-column blocks) and the SIMD lanes (one lane per pair, via the
+// kernel table's l2_distances). Extra memory: one packed dim x 32 float
+// block per task.
 tensor::Tensor l2_distance_matrix(
     const std::vector<std::vector<float>>& vectors);
 
@@ -28,7 +34,9 @@ tensor::Tensor l2_distance_matrix(
 tensor::Tensor cosine_distance_matrix(
     const std::vector<std::vector<float>>& vectors);
 
-// Validates symmetry / zero diagonal / non-negativity; throws otherwise.
+// Validates square shape, zero diagonal, entries >= 0 (no NaN) and
+// symmetry; throws std::invalid_argument otherwise. Checks in 64 x 64 tiles
+// so an entry and its mirror are read from cache.
 void validate_distance_matrix(const tensor::Tensor& d);
 
 }  // namespace fedclust::clustering

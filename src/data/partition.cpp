@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/thread_pool.h"
+
 namespace fedclust::data {
 
 namespace {
@@ -150,13 +152,25 @@ std::vector<ClientData> make_federated_data(const SyntheticSpec& spec,
                                             const FederatedConfig& cfg,
                                             std::uint64_t seed) {
   const PartitionPlan plan(spec, cfg, seed);
+  // The assignment stream is sequential and cheap (RNG draws only); the
+  // samples come from per-client streams, so synthesis fans out over the
+  // pool and each client is the same at any thread count.
   util::Rng assign_rng = plan.checkpoints_.front();
-  std::vector<ClientData> clients;
-  clients.reserve(cfg.n_clients);
+  std::vector<ClientSketch> sketches;
+  sketches.reserve(cfg.n_clients);
   for (std::size_t i = 0; i < cfg.n_clients; ++i) {
-    clients.push_back(
-        plan.materialize_from(plan.replay_one(assign_rng, i), i));
+    sketches.push_back(plan.replay_one(assign_rng, i));
   }
+  std::vector<ClientData> clients(
+      cfg.n_clients, ClientData{Dataset(spec.channels, spec.hw,
+                                        spec.num_classes),
+                                Dataset(spec.channels, spec.hw,
+                                        spec.num_classes),
+                                {},
+                                0});
+  util::parallel_for(0, cfg.n_clients, [&](std::size_t i) {
+    clients[i] = plan.materialize_from(std::move(sketches[i]), i);
+  });
   return clients;
 }
 

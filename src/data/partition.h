@@ -86,9 +86,10 @@ class PartitionPlan {
   static constexpr std::size_t kCheckpointStride = 1024;
 
  private:
-  // The eager path iterates the assignment stream sequentially through the
-  // same replay_one/materialize_from pair, so eager and on-demand clients
-  // are bit-identical by construction.
+  // The eager path replays the assignment stream sequentially, then
+  // synthesizes clients in parallel through the same replay_one /
+  // materialize_from pair, so eager and on-demand clients are bit-identical
+  // by construction.
   friend std::vector<ClientData> make_federated_data(const SyntheticSpec& spec,
                                                      const FederatedConfig& cfg,
                                                      std::uint64_t seed);
@@ -108,7 +109,8 @@ class PartitionPlan {
   std::vector<util::Rng> checkpoints_;
 };
 
-// Deterministic in (spec, cfg, seed).
+// Deterministic in (spec, cfg, seed); clients are synthesized on the global
+// thread pool, bit-identical at any FEDCLUST_THREADS.
 std::vector<ClientData> make_federated_data(const SyntheticSpec& spec,
                                             const FederatedConfig& cfg,
                                             std::uint64_t seed);

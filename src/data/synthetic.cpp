@@ -141,6 +141,36 @@ SyntheticGenerator::SyntheticGenerator(SyntheticSpec spec, std::uint64_t seed)
       coeffs_.push_back(std::move(coeff));
     }
   }
+
+  // Class-identity gratings: orientation/frequency determined by the class,
+  // shared by all its prototypes.
+  const std::size_t hw = spec_.hw;
+  gratings_.reserve(spec_.num_classes);
+  for (std::size_t cls = 0; cls < spec_.num_classes; ++cls) {
+    const double angle = std::numbers::pi * static_cast<double>(cls) /
+                         static_cast<double>(spec_.num_classes);
+    const double freq = 2.0 * std::numbers::pi *
+                        (1.0 + static_cast<double>(cls % 4)) /
+                        static_cast<double>(hw);
+    const float cs = static_cast<float>(std::cos(angle));
+    const float sn = static_cast<float>(std::sin(angle));
+    std::vector<float> grating(image_size());
+    for (std::size_t c = 0; c < spec_.channels; ++c) {
+      const float phase =
+          static_cast<float>(c) * 2.0f / static_cast<float>(spec_.channels);
+      float* plane = grating.data() + c * hw * hw;
+      for (std::size_t y = 0; y < hw; ++y) {
+        for (std::size_t x = 0; x < hw; ++x) {
+          const float t =
+              cs * static_cast<float>(x) + sn * static_cast<float>(y);
+          plane[y * hw + x] =
+              spec_.grating_scale *
+              std::sin(static_cast<float>(freq) * t + phase);
+        }
+      }
+    }
+    gratings_.push_back(std::move(grating));
+  }
 }
 
 std::vector<float> SyntheticGenerator::render(
@@ -154,30 +184,9 @@ std::vector<float> SyntheticGenerator::render(
     for (std::size_t i = 0; i < n; ++i) img[i] += w * atom[i];
   }
 
-  // Class-identity grating: orientation/frequency determined by the class,
-  // shared by all its prototypes.
-  const std::size_t hw = spec_.hw;
-  const double angle = std::numbers::pi * static_cast<double>(cls) /
-                       static_cast<double>(spec_.num_classes);
-  const double freq = 2.0 * std::numbers::pi *
-                      (1.0 + static_cast<double>(cls % 4)) /
-                      static_cast<double>(hw);
-  const float cs = static_cast<float>(std::cos(angle));
-  const float sn = static_cast<float>(std::sin(angle));
-  for (std::size_t c = 0; c < spec_.channels; ++c) {
-    const float phase =
-        static_cast<float>(c) * 2.0f / static_cast<float>(spec_.channels);
-    float* plane = img.data() + c * hw * hw;
-    for (std::size_t y = 0; y < hw; ++y) {
-      for (std::size_t x = 0; x < hw; ++x) {
-        const float t =
-            cs * static_cast<float>(x) + sn * static_cast<float>(y);
-        plane[y * hw + x] +=
-            spec_.grating_scale *
-            std::sin(static_cast<float>(freq) * t + phase);
-      }
-    }
-  }
+  const std::vector<float>& grating =
+      gratings_[static_cast<std::size_t>(cls)];
+  for (std::size_t i = 0; i < n; ++i) img[i] += grating[i];
   return img;
 }
 

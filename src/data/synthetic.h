@@ -79,6 +79,8 @@ class SyntheticGenerator {
   // coeffs_[cls * prototypes_per_class + which]: dictionary coefficients
   // (dense vector of dict_size, mostly zero).
   std::vector<std::vector<float>> coeffs_;
+  // gratings_[cls]: the class-identity grating, image_size() floats.
+  std::vector<std::vector<float>> gratings_;
 };
 
 }  // namespace fedclust::data

@@ -79,6 +79,17 @@ struct KernelTable {
   // product fits int32 before widening.
   void (*qint8_accumulate)(std::int64_t* acc, const std::uint8_t* q,
                            std::size_t n, std::int32_t m);
+
+  // One row against ncols columns of an L2 proximity matrix: out[j] =
+  // float(sqrt(s_j)) with s_j = sum over ascending k of d * d, d =
+  // double(a[k]) - double(b[k * ldb + j]), one rounding per subtract,
+  // multiply and add. Each lane j is exactly tensor::l2_distance(a,
+  // column j), bit for bit, except that which NaN payload a NaN result
+  // carries is unspecified (every consumer rejects NaN distances). b holds
+  // the columns interleaved (ldb >= ncols); the vector tables give each
+  // column its own double lane.
+  void (*l2_distances)(const float* a, const float* b, std::size_t dim,
+                       std::size_t ncols, std::size_t ldb, float* out);
 };
 
 // Table for util::active_isa() — re-reads the (atomic) active ISA on every

@@ -336,6 +336,46 @@ void qint8_accumulate_avx2(std::int64_t* acc, const std::uint8_t* q,
   for (; i < n; ++i) acc[i] += m64 * static_cast<std::int64_t>(q[i]);
 }
 
+// ---------------------------------------------------------- l2 distances
+//
+// A slab of up to 32 columns is eight 4-lane double accumulators, so every
+// k step runs eight independent add chains. vmaskmov loads and stores
+// keep masked lanes off memory, so partial slabs run the same code. Each
+// live lane performs the scalar kernel's subtract, multiply, add in
+// ascending k, then the same sqrt and float rounding.
+constexpr int kL2Acc = 8;
+constexpr std::size_t kL2Slab = 4 * kL2Acc;
+
+void l2_distances_avx2(const float* a, const float* b, std::size_t dim,
+                       std::size_t ncols, std::size_t ldb, float* out) {
+  const __m128i lane = _mm_setr_epi32(0, 1, 2, 3);
+  for (std::size_t j0 = 0; j0 < ncols; j0 += kL2Slab) {
+    const std::size_t w = std::min(kL2Slab, ncols - j0);
+    __m128i m[kL2Acc];
+    __m256d s[kL2Acc];
+    for (int u = 0; u < kL2Acc; ++u) {
+      const std::size_t lo = 4 * static_cast<std::size_t>(u);
+      const std::size_t live = w > lo ? std::min<std::size_t>(4, w - lo) : 0;
+      m[u] = _mm_cmpgt_epi32(_mm_set1_epi32(static_cast<int>(live)), lane);
+      s[u] = _mm256_setzero_pd();
+    }
+    for (std::size_t k = 0; k < dim; ++k) {
+      const __m256d ak = _mm256_set1_pd(static_cast<double>(a[k]));
+      const float* row = b + k * ldb + j0;
+      for (int u = 0; u < kL2Acc; ++u) {
+        const __m256d bk =
+            _mm256_cvtps_pd(_mm_maskload_ps(row + 4 * u, m[u]));
+        const __m256d d = _mm256_sub_pd(ak, bk);
+        s[u] = _mm256_add_pd(s[u], _mm256_mul_pd(d, d));
+      }
+    }
+    for (int u = 0; u < kL2Acc; ++u) {
+      _mm_maskstore_ps(out + j0 + 4 * u, m[u],
+                       _mm256_cvtpd_ps(_mm256_sqrt_pd(s[u])));
+    }
+  }
+}
+
 }  // namespace
 
 const KernelTable* avx2_table() {
@@ -351,6 +391,7 @@ const KernelTable* avx2_table() {
       &qint8_quantize_avx2,
       &qint8_dequantize_avx2,
       &qint8_accumulate_avx2,
+      &l2_distances_avx2,
   };
   return &table;
 }

@@ -310,6 +310,7 @@ const KernelTable* avx512_table() {
       &qint8_quantize_avx512,
       &qint8_dequantize_avx512,
       &qint8_accumulate_avx512,
+      avx2_table()->l2_distances,  // as transpose
   };
   return &table;
 }

@@ -125,6 +125,19 @@ void qint8_accumulate_scalar(std::int64_t* acc, const std::uint8_t* q,
   }
 }
 
+// Column by column, tensor::l2_distance's loop verbatim.
+void l2_distances_scalar(const float* a, const float* b, std::size_t dim,
+                         std::size_t ncols, std::size_t ldb, float* out) {
+  for (std::size_t j = 0; j < ncols; ++j) {
+    double s = 0.0;
+    for (std::size_t k = 0; k < dim; ++k) {
+      const double d = static_cast<double>(a[k]) - b[k * ldb + j];
+      s += d * d;
+    }
+    out[j] = static_cast<float>(std::sqrt(s));
+  }
+}
+
 }  // namespace
 
 const KernelTable& scalar_table() {
@@ -140,6 +153,7 @@ const KernelTable& scalar_table() {
       &qint8_quantize_scalar,
       &qint8_dequantize_scalar,
       &qint8_accumulate_scalar,
+      &l2_distances_scalar,
   };
   return table;
 }

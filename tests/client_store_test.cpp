@@ -19,6 +19,7 @@
 #include "fl/stream_agg.h"
 #include "util/rng.h"
 #include "util/serialization.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -61,19 +62,39 @@ void expect_client_eq(const data::ClientData& a, const data::ClientData& b) {
 
 // --- PartitionPlan: virtual regeneration == eager build, bit for bit ---
 
+// The eager build synthesizes clients on the global pool: it must give the
+// same bits at 1 and 4 threads, and each client must equal its on-demand
+// regeneration. n = 257 spreads clients over several pool chunks; the
+// second config adds quantity skew and a label-set pool.
 TEST(PartitionPlan, MaterializeMatchesEagerAcrossPartitions) {
+  // Restores the previous pool size, also when an assertion returns early.
+  struct PoolGuard {
+    std::size_t prev = util::global_pool().size() + 1;
+    ~PoolGuard() { util::reset_global_pool(prev); }
+  } pool_guard;
   for (const std::string partition : {"skew", "dirichlet", "iid"}) {
-    SCOPED_TRACE(partition);
-    const auto spec = small_spec();
-    const auto cfg = small_cfg(partition);
-    const std::uint64_t seed = 42;
-    const auto eager = data::make_federated_data(spec, cfg, seed);
-    const data::PartitionPlan plan(spec, cfg, seed);
-    ASSERT_EQ(plan.n_clients(), eager.size());
-    // Out-of-order access: each client is a pure function of (seed, id).
-    for (std::size_t i = plan.n_clients(); i-- > 0;) {
-      SCOPED_TRACE(i);
-      expect_client_eq(plan.materialize(i), eager[i]);
+    for (const bool skewed : {false, true}) {
+      SCOPED_TRACE(partition + (skewed ? " quantity-skew pool" : ""));
+      const auto spec = small_spec();
+      auto cfg = small_cfg(partition, 257);
+      if (skewed) {
+        cfg.quantity_skew_factor = 3.0;
+        cfg.label_set_pool = 5;
+      }
+      const std::uint64_t seed = 42;
+      util::reset_global_pool(1);
+      const auto eager = data::make_federated_data(spec, cfg, seed);
+      util::reset_global_pool(4);
+      const auto eager4 = data::make_federated_data(spec, cfg, seed);
+      const data::PartitionPlan plan(spec, cfg, seed);
+      ASSERT_EQ(plan.n_clients(), eager.size());
+      ASSERT_EQ(eager4.size(), eager.size());
+      // Out-of-order access: each client is a pure function of (seed, id).
+      for (std::size_t i = plan.n_clients(); i-- > 0;) {
+        SCOPED_TRACE(i);
+        expect_client_eq(eager4[i], eager[i]);
+        expect_client_eq(plan.materialize(i), eager[i]);
+      }
     }
   }
 }

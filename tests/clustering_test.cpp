@@ -8,10 +8,13 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "clustering/distance.h"
 #include "clustering/hierarchical.h"
 #include "clustering/metrics.h"
+#include "tensor/tensor_ops.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -48,6 +51,61 @@ TEST(Distance, ValidationCatchesBadMatrices) {
   EXPECT_THROW(validate_distance_matrix(neg), std::invalid_argument);
   EXPECT_THROW(validate_distance_matrix(Tensor({2, 3})),
                std::invalid_argument);
+}
+
+// Every rejection at a tile edge (validation tiles are 64 wide), inside
+// the ragged last tile (rows 128..129 of n = 130) and at the far corner
+// (0, n-1), for pairs (i, j) with i < j. The message names the check that
+// fired where only one check applies.
+TEST(Distance, ValidationRejectsAtTileEdges) {
+  constexpr std::size_t n = 130;
+  util::Rng rng(8);
+  std::vector<std::vector<float>> pts(n, std::vector<float>(3));
+  for (auto& p : pts) {
+    for (auto& x : p) x = rng.normalf(0, 1);
+  }
+  const Tensor good = l2_distance_matrix(pts);
+  validate_distance_matrix(good);
+  const auto expect_rejected = [&](const Tensor& d, const char* what) {
+    try {
+      validate_distance_matrix(d);
+      ADD_FAILURE() << "accepted: " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::pair<std::size_t, std::size_t> pairs[] = {
+      {0, 1},    {62, 63},  {63, 64},  {64, 65},   {0, 64},
+      {63, 127}, {64, 127}, {127, 128}, {128, 129}, {0, n - 1}};
+  for (const auto& [i, j] : pairs) {
+    SCOPED_TRACE(testing::Message() << "(" << i << ", " << j << ")");
+    Tensor d = good;
+    d[i * n + j] = d[j * n + i] = -1.0f;
+    expect_rejected(d, ">= 0");
+    d = good;
+    d[i * n + j] = d[j * n + i] = nan;
+    expect_rejected(d, ">= 0");
+    d = good;
+    d[i * n + j] += 1.0f;
+    expect_rejected(d, "symmetric");
+    d = good;
+    d[j * n + i] += 1.0f;
+    expect_rejected(d, "symmetric");
+    // One-sided sign defects are caught whichever side holds them.
+    d = good;
+    d[j * n + i] = -d[j * n + i];
+    expect_rejected(d, "");
+    d = good;
+    d[i * n + j] = nan;
+    expect_rejected(d, "");
+  }
+  for (const std::size_t i : {0u, 63u, 64u, 127u, 128u, 129u}) {
+    Tensor d = good;
+    d[i * n + i] = 0.5f;
+    expect_rejected(d, "diagonal");
+  }
 }
 
 // distance_matrix fans its pairs out over the global pool; the matrix must
@@ -90,6 +148,41 @@ TEST_F(DistanceThreads, BitIdenticalAtOneAndFourThreads) {
     validate_distance_matrix(l2[1]);
     validate_distance_matrix(cust[1]);
   }
+}
+
+// The packed-block L2 matrix is bit-equal to per-pair tensor::l2_distance
+// for every n up to 70 (ragged and full 32-column blocks, odd and even
+// block counts), 100 and 2000, at four threads, with a few entries of
+// 1e30 among the N(0, 1) values.
+TEST_F(DistanceThreads, L2MatrixMatchesPerPairOracle) {
+  util::reset_global_pool(4);
+  std::vector<std::size_t> sizes(70);
+  std::iota(sizes.begin(), sizes.end(), std::size_t{1});
+  sizes.push_back(100);
+  sizes.push_back(2000);
+  for (const std::size_t n : sizes) {
+    const std::size_t dim = n == 100 ? 850 : n == 2000 ? 40 : 1 + n % 9;
+    util::Rng rng(61 + n);
+    std::vector<std::vector<float>> v(n, std::vector<float>(dim));
+    for (auto& row : v) {
+      for (auto& x : row) x = rng.normalf(0, 1);
+      if (rng.uniform() < 0.05) row[rng.randint(0, dim)] = 1e30f;
+    }
+    const Tensor d = l2_distance_matrix(v);
+    Tensor want({n, n});
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        want[i * n + j] = want[j * n + i] = tensor::l2_distance(v[i], v[j]);
+      }
+    }
+    ASSERT_TRUE(same_bits(d, want)) << "n=" << n << " dim=" << dim;
+  }
+}
+
+TEST(Distance, L2MatrixRejectsRaggedVectors) {
+  EXPECT_THROW(l2_distance_matrix({{1.0f, 2.0f}, {1.0f}}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(l2_distance_matrix({{1.0f, 2.0f, 3.0f}}));
 }
 
 TEST_F(DistanceThreads, CallsEachPairExactlyOnce) {

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "data/dataset.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "tensor/tensor_ops.h"
+#include "util/serialization.h"
 
 namespace fedclust::data {
 namespace {
@@ -96,6 +98,38 @@ TEST(Synthetic, DeterministicInSeed) {
   util::Rng r3(7);
   EXPECT_EQ(g1.sample(3, r1), g2.sample(3, r2));
   EXPECT_NE(g1.prototype(3, 0), g3.prototype(3, 0));
+}
+
+// Pinned bits: the first clients of every preset, recorded before the
+// class grating was cached per class and the eager build went parallel.
+// Any change to render() or to the order of the data streams shows here.
+TEST(Synthetic, PresetSamplesMatchRecordedCrc) {
+  const std::pair<const char*, std::uint32_t> kPinned[] = {
+      {"cifar10", 0x1cf6691fu},
+      {"cifar100", 0x1694658eu},
+      {"fmnist", 0xb1a72efdu},
+      {"svhn", 0x7af95bd1u}};
+  FederatedConfig cfg;
+  cfg.n_clients = 3;
+  cfg.train_per_client = 4;
+  cfg.test_per_client = 2;
+  for (const auto& [name, want] : kPinned) {
+    std::uint32_t crc = 0;
+    for (const auto& c : make_federated_data(dataset_spec(name), cfg, 17)) {
+      for (const Dataset* ds : {&c.train, &c.test}) {
+        for (std::size_t s = 0; s < ds->size(); ++s) {
+          crc = util::crc32c_extend(
+              crc, reinterpret_cast<const std::uint8_t*>(ds->image(s)),
+              ds->image_size() * sizeof(float));
+          const std::int64_t label = ds->label(s);
+          crc = util::crc32c_extend(
+              crc, reinterpret_cast<const std::uint8_t*>(&label),
+              sizeof(label));
+        }
+      }
+    }
+    EXPECT_EQ(crc, want) << name << " crc32c 0x" << std::hex << crc;
+  }
 }
 
 TEST(Synthetic, SampleValidation) {

@@ -1,14 +1,15 @@
 // Kernel-parity property tests: every SIMD kernel table must be bit-exact
 // against the scalar golden table on every ISA reachable on the host —
 // GEMM (all shapes, leading dims, transposes, odd tails), im2col panels,
-// fused conv, f16 and qint8 codec kernels, and CRC32C. The FMA variants
-// and the int8-domain aggregation are approximate by contract and are
-// checked against documented tolerances instead.
+// fused conv, L2 proximity rows, f16 and qint8 codec kernels, and CRC32C.
+// The FMA variants and the int8-domain aggregation are approximate by
+// contract and are checked against documented tolerances instead.
 
 #include "tensor/simd.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -21,6 +22,7 @@
 #include "tensor/conv_fused.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
+#include "tensor/tensor_ops.h"
 #include "util/cpu.h"
 #include "util/rng.h"
 #include "util/serialization.h"
@@ -383,6 +385,89 @@ std::vector<float> f16_edge_values(util::Rng& rng) {
     }
   }
   return v;
+}
+
+// ------------------------------------------------------------ L2 distances
+
+float from_bits(std::uint32_t u) {
+  float f;
+  std::memcpy(&f, &u, sizeof(f));
+  return f;
+}
+
+// One column's values: kind 0 is plain N(0, 1); kinds 1-7 plant one
+// special value (two NaN payloads of both signs, +-inf, +-1e30, or 3e38,
+// which overflows the float result when the row holds one at another k);
+// kinds 8 and 9 draw only denormals or signed zeros.
+void fill_l2_column(std::vector<float>& b, std::size_t dim, std::size_t ldb,
+                    std::size_t j, int kind, util::Rng& rng) {
+  const float specials[] = {from_bits(0x7fc00001u), from_bits(0xffc00abcu),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            1e30f, -1e30f, 3e38f};
+  for (std::size_t k = 0; k < dim; ++k) {
+    float v = rng.normalf(0.0f, 1.0f);
+    if (kind == 8) v = std::ldexp(v, -130);  // denormal
+    if (kind == 9) v = rng.uniform() < 0.5 ? 0.0f : -0.0f;
+    b[k * ldb + j] = v;
+  }
+  if (dim > 0 && kind >= 1 && kind <= 7) {
+    const auto k = static_cast<std::size_t>(
+        rng.randint(0, static_cast<std::int64_t>(dim)));
+    b[k * ldb + j] = specials[kind - 1];
+  }
+}
+
+// Bit equality, except that any two NaNs match: which NaN payload an
+// l2_distances lane returns is unspecified.
+bool l2_equal(float want, float got) {
+  if (std::isnan(want) && std::isnan(got)) return true;
+  return std::memcmp(&want, &got, sizeof(float)) == 0;
+}
+
+// Every reachable ISA's l2_distances is bit-equal to scalar, and scalar is
+// bit-equal to tensor::l2_distance on each column (NaN results match any
+// NaN). Operands end exactly at their last valid element, so a lane that
+// reads past a ragged slab leaves the allocation.
+TEST(SimdKernel, L2DistancesBitExactAcrossIsas) {
+  util::Rng rng(47);
+  const auto& scalar = simd::kernels_for(util::SimdIsa::kScalar);
+  for (const std::size_t dim : {0u, 1u, 7u, 8u, 9u, 16u, 17u, 850u}) {
+    for (std::size_t ncols = 1; ncols <= 70; ++ncols) {
+      for (const std::size_t pad : {0u, 3u}) {
+        const std::size_t ldb = ncols + pad;
+        const int a_kind = static_cast<int>((ncols + pad) % 10);
+        std::vector<float> a(dim);
+        fill_l2_column(a, dim, 1, 0, a_kind, rng);
+        std::vector<float> b(dim == 0 ? 0 : (dim - 1) * ldb + ncols);
+        for (std::size_t j = 0; j < ncols; ++j) {
+          fill_l2_column(b, dim, ldb, j, static_cast<int>(j % 10), rng);
+        }
+        std::vector<float> want(ncols);
+        scalar.l2_distances(a.data(), b.data(), dim, ncols, ldb, want.data());
+        for (std::size_t j = 0; j < ncols; ++j) {
+          std::vector<float> col(dim);
+          for (std::size_t k = 0; k < dim; ++k) col[k] = b[k * ldb + j];
+          const float oracle = tensor::l2_distance(a, col);
+          ASSERT_TRUE(l2_equal(oracle, want[j]))
+              << "scalar vs l2_distance dim=" << dim << " ldb=" << ldb
+              << " j=" << j << std::hex << " oracle bits "
+              << std::bit_cast<std::uint32_t>(oracle) << " scalar bits "
+              << std::bit_cast<std::uint32_t>(want[j]);
+        }
+        for (const auto isa : reachable_isas()) {
+          std::vector<float> got(ncols);
+          simd::kernels_for(isa).l2_distances(a.data(), b.data(), dim, ncols,
+                                              ldb, got.data());
+          for (std::size_t j = 0; j < ncols; ++j) {
+            ASSERT_TRUE(l2_equal(want[j], got[j]))
+                << "isa=" << util::isa_name(isa) << " dim=" << dim
+                << " ncols=" << ncols << " ldb=" << ldb << " j=" << j;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SimdKernel, F16EncodeDecodeBitExactAcrossIsas) {
