@@ -9,6 +9,7 @@
 #include "clustering/hierarchical.h"
 #include "data/partition.h"
 #include "fl/client.h"
+#include "fl/client_store.h"
 #include "fl/fedavg.h"
 #include "fl/federation.h"
 #include "linalg/principal_angles.h"
@@ -291,6 +292,32 @@ void BM_StreamingAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamingAggregate)->Arg(8)->Arg(64);
 
+// The same streaming reduction with the cohort submitted from a 4-worker
+// pool, as a round's training chunks deliver it: every submit scales its
+// own leaf and folds without a lock, so the fold spreads over the workers.
+void BM_StreamingAggregateConcurrent(benchmark::State& state) {
+  const std::size_t n = 1 << 16;
+  const std::size_t clients = static_cast<std::size_t>(state.range(0));
+  std::vector<std::vector<float>> updates;
+  for (std::size_t c = 0; c < clients; ++c) {
+    updates.push_back(random_tensor({n}, 7 + c).vec());
+  }
+  util::reset_global_pool(4);
+  std::vector<float> out(n);
+  for (auto _ : state) {
+    fl::StreamingAggregator agg(clients, n, /*int8_mode=*/false);
+    util::parallel_for(0, clients, [&](std::size_t c) {
+      agg.submit(c, updates[c].data(), n, 1.0);
+    });
+    agg.finish(out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * clients));
+  util::reset_global_pool(1);
+}
+BENCHMARK(BM_StreamingAggregateConcurrent)->Arg(8)->Arg(64)->UseRealTime();
+
 void BM_MaterializedAggregate(benchmark::State& state) {
   const std::size_t n = 1 << 16;
   const std::size_t clients = static_cast<std::size_t>(state.range(0));
@@ -361,6 +388,28 @@ void BM_MakeFederatedData(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MakeFederatedData)->Arg(2000)->Unit(benchmark::kMillisecond);
+
+// One virtual-store acquisition in a 1M-client fmnist population (20%
+// label skew, 1 train + 1 test sample, cache 64, as fedavg_1m_qint8).
+// Random ids always miss, so each acquisition regenerates a client: the
+// sketch replay from the nearest checkpoint plus sample synthesis.
+void BM_VirtualAcquire(benchmark::State& state) {
+  data::FederatedConfig cfg;
+  cfg.n_clients = 1000000;
+  cfg.train_per_client = 1;
+  cfg.test_per_client = 1;
+  fl::VirtualClientStore store(
+      std::make_shared<const data::PartitionPlan>(data::dataset_spec("fmnist"),
+                                                  cfg, 3),
+      64);
+  util::Rng rng(9);
+  for (auto _ : state) {
+    const auto id = static_cast<std::size_t>(
+        rng.randint(0, static_cast<std::int64_t>(cfg.n_clients)));
+    benchmark::DoNotOptimize(store.acquire(id));
+  }
+}
+BENCHMARK(BM_VirtualAcquire)->Unit(benchmark::kMicrosecond);
 
 // Proximity matrix over n clients' classifier weights (850 floats each for
 // LeNet-5/10 classes) — FedClust's Eq. 3 cost.

@@ -79,11 +79,11 @@ PartitionPlan::PartitionPlan(SyntheticSpec spec, FederatedConfig cfg,
   }
 
   // One assignment-stream sweep: draws only, no sample synthesis. Costs
-  // O(n) RNG draws once; each later sketch(i) replays at most one stride.
+  // O(n) RNG draws once; each later sketch(i) skips at most one stride.
   checkpoints_.reserve(cfg_.n_clients / kCheckpointStride + 1);
   for (std::size_t i = 0; i < cfg_.n_clients; ++i) {
     if (i % kCheckpointStride == 0) checkpoints_.push_back(assign_rng);
-    (void)replay_one(assign_rng, i);
+    skip_one(assign_rng);
   }
 }
 
@@ -120,15 +120,30 @@ ClientSketch PartitionPlan::replay_one(util::Rng& rng, std::size_t i) const {
   return sk;
 }
 
+void PartitionPlan::skip_one(util::Rng& rng) const {
+  if (cfg_.label_set_pool > 0) {
+    (void)rng.randint(0, static_cast<std::int64_t>(cfg_.label_set_pool));
+  } else if (cfg_.partition == "skew") {
+    // sample_without_replacement's partial Fisher–Yates: draw j from [j, n).
+    const auto n = static_cast<std::int64_t>(spec_.num_classes);
+    const auto k = static_cast<std::int64_t>(
+        labels_per_client(cfg_.skew_fraction, spec_.num_classes));
+    for (std::int64_t j = 0; j < k; ++j) (void)rng.randint(j, n);
+  } else if (cfg_.partition == "dirichlet") {
+    // dirichlet() draws one gamma per class and nothing else.
+    for (std::size_t c = 0; c < spec_.num_classes; ++c) {
+      (void)rng.gamma(cfg_.dirichlet_alpha);
+    }
+  }
+  if (cfg_.quantity_skew_factor > 1.0) (void)rng.uniform();
+}
+
 ClientSketch PartitionPlan::sketch(std::size_t i) const {
   if (i >= cfg_.n_clients) {
     throw std::out_of_range("PartitionPlan::sketch: client out of range");
   }
   util::Rng rng = checkpoints_[i / kCheckpointStride];
-  for (std::size_t j = (i / kCheckpointStride) * kCheckpointStride; j < i;
-       ++j) {
-    (void)replay_one(rng, j);
-  }
+  for (std::size_t j = i % kCheckpointStride; j > 0; --j) skip_one(rng);
   return replay_one(rng, i);
 }
 

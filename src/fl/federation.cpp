@@ -6,6 +6,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstring>
 #include <string_view>
 
 #include "fl/parallel_round.h"
@@ -43,6 +44,13 @@ const char* encode_span_name(wire::CodecId codec) {
 const char* decode_span_name(wire::CodecId codec) {
   static std::array<std::atomic<const char*>, wire::kNumCodecs> cache{};
   return wire_span_name("wire.decode/", codec, cache);
+}
+
+// Exact byte equality (so -0 != +0 and NaN payloads count), the test a
+// memoized model pull must pass to stand in for a fresh round trip.
+bool same_bytes(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 // Default LRU capacity for virtual mode when --client-cache is 0: enough
@@ -250,19 +258,57 @@ std::vector<float> Federation::through_wire(wire::MessageKind kind,
                          nullptr);
 }
 
+std::shared_ptr<const Federation::PullMemo> Federation::find_pull_memo(
+    const std::vector<float>& payload, std::size_t round) {
+  std::vector<std::shared_ptr<const PullMemo>> candidates;
+  {
+    const std::lock_guard<std::mutex> lock(pull_mu_);
+    candidates = pull_memo_;
+  }
+  // Entries are immutable once published, so the byte compare runs unlocked.
+  for (auto& memo : candidates) {
+    if (memo->round == round && same_bytes(memo->sent, payload)) {
+      return std::move(memo);
+    }
+  }
+  return nullptr;
+}
+
+void Federation::remember_pull(std::shared_ptr<const PullMemo> memo) {
+  const std::lock_guard<std::mutex> lock(pull_mu_);
+  if (!pull_memo_.empty() && pull_memo_.front()->round != memo->round) {
+    pull_memo_.clear();  // a new round: the old models are stale
+  }
+  if (pull_memo_.size() >= kPullMemoCap) return;
+  for (const auto& have : pull_memo_) {
+    // Concurrent first pulls of one payload: keep a single entry.
+    if (same_bytes(have->sent, memo->sent)) return;
+  }
+  pull_memo_.push_back(std::move(memo));
+}
+
 std::vector<float> Federation::pull_model(const std::vector<float>& payload,
                                           std::size_t round,
                                           std::uint64_t counted_floats) {
-  std::uint64_t encoded = 0;
-  std::vector<float> rx =
-      wire_round_trip(wire::MessageKind::kModelPull, payload.data(),
-                      payload.size(), wire::kServerSender, round, &encoded);
-  comm_.download_envelope(payload.size(), encoded);
+  std::shared_ptr<const PullMemo> memo = find_pull_memo(payload, round);
+  if (memo != nullptr) {
+    OBS_COUNTER_ADD("wire.pull_memo_hits", 1);
+  } else {
+    auto fresh = std::make_shared<PullMemo>();
+    fresh->round = round;
+    fresh->sent = payload;
+    fresh->received = wire_round_trip(
+        wire::MessageKind::kModelPull, payload.data(), payload.size(),
+        wire::kServerSender, round, &fresh->encoded_bytes);
+    memo = fresh;
+    remember_pull(std::move(fresh));
+  }
+  comm_.download_envelope(payload.size(), memo->encoded_bytes);
   if (counted_floats > payload.size()) {
     const std::uint64_t extra = counted_floats - payload.size();
     comm_.download_envelope(extra, wire::encoded_size(cfg_.codec, extra));
   }
-  return rx;
+  return memo->received;
 }
 
 std::vector<float> Federation::upload_payload(wire::MessageKind kind,

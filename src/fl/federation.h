@@ -228,6 +228,10 @@ class Federation {
   // bills the download. `counted_floats` (>= payload.size()) is the logical
   // download volume; floats beyond the model payload (e.g. SCAFFOLD's
   // control variate riding along) are billed as a second envelope.
+  // The round trip is a pure function of (codec, round, payload bytes), so
+  // it is memoized: a pull whose payload bytes equal (memcmp) one already
+  // pulled this round reuses that result and counts wire.pull_memo_hits.
+  // Every pull is billed either way. Thread-safe.
   std::vector<float> pull_model(const std::vector<float>& payload,
                                 std::size_t round,
                                 std::uint64_t counted_floats);
@@ -295,6 +299,18 @@ class Federation {
 
   Federation(ExperimentConfig cfg, std::unique_ptr<ClientStore> store);
 
+  // One memoized model pull: the payload as sent, what the receiver
+  // decoded, and the encoded payload size the download is billed.
+  struct PullMemo {
+    std::size_t round = 0;
+    std::vector<float> sent;
+    std::vector<float> received;
+    std::uint64_t encoded_bytes = 0;
+  };
+  std::shared_ptr<const PullMemo> find_pull_memo(
+      const std::vector<float>& payload, std::size_t round);
+  void remember_pull(std::shared_ptr<const PullMemo> memo);
+
   ExperimentConfig cfg_;
   Transport* transport_ = nullptr;
   FaultEngine faults_;
@@ -305,6 +321,13 @@ class Federation {
   CommTracker comm_;
   nn::Model workspace_;
   std::vector<float> init_params_;
+
+  // pull_model's memo: entries all belong to the latest round pulled, at
+  // most kPullMemoCap of them, so FedClust with many cluster models just
+  // misses and re-encodes instead of holding every model twice.
+  static constexpr std::size_t kPullMemoCap = 4;
+  std::mutex pull_mu_;
+  std::vector<std::shared_ptr<const PullMemo>> pull_memo_;
 
   // Lazily grown pool of workspace replicas for client-parallel execution.
   std::mutex ws_mu_;

@@ -258,7 +258,15 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-std::string jstr(const std::string& s) { return "\"" + json_escape(s) + "\""; }
+std::string jstr(const std::string& s) {
+  const std::string body = json_escape(s);
+  std::string out;
+  out.reserve(body.size() + 2);
+  out += '"';
+  out += body;
+  out += '"';
+  return out;
+}
 
 std::string jnum(double v) {
   std::ostringstream os;

@@ -15,12 +15,12 @@ StreamingAggregator::StreamingAggregator(std::size_t n_slots, std::size_t dim,
     throw std::invalid_argument("StreamingAggregator: zero slots");
   }
   levels_.emplace_back(n_slots_);
-  for (auto& leaf : levels_.front()) leaf.remaining = 1;
+  for (auto& leaf : levels_.front()) leaf.remaining.store(1);
   while (levels_.back().size() > 1) {
     const std::size_t prev = levels_.back().size();
     std::vector<Node> level((prev + 1) / 2);
     for (std::size_t j = 0; j < level.size(); ++j) {
-      level[j].remaining = (2 * j + 1 < prev) ? 2 : 1;
+      level[j].remaining.store((2 * j + 1 < prev) ? 2 : 1);
     }
     levels_.push_back(std::move(level));
   }
@@ -53,15 +53,13 @@ void StreamingAggregator::resolve(std::size_t slot, bool delivered_flag,
   if (slot >= n_slots_) {
     throw std::out_of_range("StreamingAggregator: slot out of range");
   }
-  std::lock_guard<std::mutex> lk(mu_);
   Node& leaf = levels_.front()[slot];
-  if (leaf.remaining != 1) {
+  // The exchange claims the leaf: from here on only this thread touches it.
+  if (leaf.remaining.exchange(0, std::memory_order_acq_rel) != 1) {
     throw std::logic_error("StreamingAggregator: slot resolved twice");
   }
-  leaf.remaining = 0;
-  ++resolved_;
   if (delivered_flag) {
-    ++delivered_;
+    delivered_.fetch_add(1, std::memory_order_relaxed);
     leaf.w = w;
     leaf.acc.resize(dim_);
     for (std::size_t i = 0; i < dim_; ++i) {
@@ -74,14 +72,16 @@ void StreamingAggregator::resolve(std::size_t slot, bool delivered_flag,
     }
   }
 
-  // Fold upward while this completion also completes the parent. The fold
-  // order for any pair is fixed (left + right), so the final association
-  // depends only on the tree shape, never on arrival order.
+  // Fold upward while this completion also completes the parent. The
+  // acq_rel decrement publishes this side's subtree and, for the thread
+  // that reaches zero, acquires the sibling's. The fold order for any pair
+  // is fixed (left + right), so the final association depends only on the
+  // tree shape, never on arrival order or thread.
   std::size_t l = 0;
   std::size_t j = slot;
   while (l + 1 < levels_.size()) {
     Node& parent = levels_[l + 1][j / 2];
-    if (--parent.remaining > 0) break;
+    if (parent.remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) break;
     Node& left = levels_[l][(j / 2) * 2];
     const std::size_t right_idx = (j / 2) * 2 + 1;
     if (right_idx < levels_[l].size()) {
@@ -105,22 +105,22 @@ void StreamingAggregator::resolve(std::size_t slot, bool delivered_flag,
     j /= 2;
     ++l;
   }
+  resolved_.fetch_add(1, std::memory_order_release);
 }
 
 bool StreamingAggregator::any_delivered() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return delivered_ > 0;
+  return delivered_.load(std::memory_order_relaxed) > 0;
 }
 
 bool StreamingAggregator::finish(std::vector<float>& model) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (resolved_ != n_slots_) {
+  if (resolved_.load(std::memory_order_acquire) != n_slots_) {
     throw std::logic_error("StreamingAggregator: unresolved slots at finish");
   }
   if (model.size() != dim_) {
     throw std::invalid_argument("StreamingAggregator: model length mismatch");
   }
-  if (delivered_ == 0) return false;
+  const std::size_t delivered = delivered_.load(std::memory_order_relaxed);
+  if (delivered == 0) return false;
 
   if (int8_mode_) {
     // Quantized-domain average over the encoded payloads, slot order — the
@@ -130,7 +130,7 @@ bool StreamingAggregator::finish(std::vector<float>& model) {
     bool ok = true;
     double total = 0.0;
     std::vector<std::pair<const std::vector<std::uint8_t>*, double>> entries;
-    entries.reserve(delivered_);
+    entries.reserve(delivered);
     for (std::size_t s = 0; s < n_slots_ && ok; ++s) {
       if (slot_delivered_[s] == 0) continue;
       if (encoded_[s].size() != want) {

@@ -10,12 +10,17 @@
 // therefore bit-identical at any FEDCLUST_THREADS value and identical
 // between the streaming and collect-then-reduce call styles.
 //
+// No lock is taken. Each slot scales its own leaf; every node keeps an
+// atomic count of unresolved children, and the thread whose decrement
+// completes a node folds that node's two children — by then no other
+// thread can touch them.
+//
 // Per-slot retained state after submit() returns is one double accumulator
 // tree node, not the float update — per-round memory is O(sampled cohort),
 // independent of the population (docs/INVARIANTS.md §Scale).
 
+#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 namespace fedclust::fl {
@@ -50,7 +55,9 @@ class StreamingAggregator {
   struct Node {
     std::vector<double> acc;  // sum of w_i * v_i; empty = no contribution
     double w = 0.0;
-    int remaining = 0;  // children not yet folded (leaves: 1 = unresolved)
+    // Children not yet resolved (leaves: 1 = unresolved). The decrement to
+    // zero hands the node's fold to the decrementing thread.
+    std::atomic<int> remaining{0};
   };
 
   void resolve(std::size_t slot, bool delivered_flag, const float* v,
@@ -60,11 +67,12 @@ class StreamingAggregator {
   std::size_t dim_;
   bool int8_mode_;
 
-  mutable std::mutex mu_;
   // levels_[0] = leaves; levels_.back() has one root node.
   std::vector<std::vector<Node>> levels_;
-  std::size_t resolved_ = 0;
-  std::size_t delivered_ = 0;
+  // resolved_ is bumped after the resolving thread's folds, so finish()
+  // reading n_slots_ sees every fold.
+  std::atomic<std::size_t> resolved_{0};
+  std::atomic<std::size_t> delivered_{0};
   // int8 mode: per-slot encoded payload + weight + delivered flag, consumed
   // at finish() in slot order — the same entry order the collect-then-reduce
   // path used.

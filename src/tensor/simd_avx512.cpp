@@ -7,7 +7,16 @@
 
 #if defined(__x86_64__) || defined(__i386__)
 
+// GCC 12's AVX-512 headers fill pass-through operands from
+// _mm512_undefined_*() (`__m512 __Y = __Y;`), which -W[maybe-]uninitialized
+// reports at every inlined use. Diagnostic state is tracked by source
+// location, so this silences the headers' own lines only: an uninitialized
+// read in this file still warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 
 #include <algorithm>
 #include <cmath>

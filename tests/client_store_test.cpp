@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "data/partition.h"
 #include "fl/client_state.h"
 #include "fl/client_store.h"
+#include "fl/codec.h"
 #include "fl/stream_agg.h"
 #include "util/rng.h"
 #include "util/serialization.h"
@@ -387,61 +389,202 @@ TEST(StreamingAggregator, ContractViolationsThrow) {
   EXPECT_THROW(agg.submit(0, u.data(), dim, -1.0), std::invalid_argument);
   agg.submit(0, u.data(), dim, 1.0);
   EXPECT_THROW(agg.submit(0, u.data(), dim, 1.0), std::logic_error);
+  EXPECT_THROW(agg.skip(0), std::logic_error);
   std::vector<float> out(dim);
   EXPECT_THROW(agg.finish(out), std::logic_error);  // slot 1 unresolved
   agg.skip(1);
+  // The root is folded now; resolving either child again still throws and
+  // leaves the result alone.
+  EXPECT_THROW(agg.skip(1), std::logic_error);
+  EXPECT_THROW(agg.submit(1, u.data(), dim, 1.0), std::logic_error);
   std::vector<float> wrong(dim - 1);
   EXPECT_THROW(agg.finish(wrong), std::invalid_argument);
   EXPECT_TRUE(agg.finish(out));
+  EXPECT_EQ(out, u);
+
+  fl::StreamingAggregator single(1, dim);  // the leaf is the root
+  EXPECT_THROW(single.finish(out), std::logic_error);
+  single.skip(0);
+  EXPECT_THROW(single.submit(0, u.data(), dim, 1.0), std::logic_error);
+  EXPECT_FALSE(single.finish(out));
 }
 
-// tsan_smoke: concurrent submits from many threads must produce the exact
-// single-threaded result — the whole point of the fixed reduction tree.
-TEST(StreamingAggregator, ConcurrentSubmitIsBitIdentical) {
-  const std::size_t dim = 256, slots = 64;
-  std::vector<std::vector<float>> updates(slots, std::vector<float>(dim));
-  util::Rng rng(21);
-  for (auto& u : updates)
-    for (auto& x : u) x = rng.normalf(0, 1);
-
-  std::vector<float> serial(dim);
-  {
-    fl::StreamingAggregator agg(slots, dim);
-    for (std::size_t s = 0; s < slots; ++s) {
-      agg.submit(s, updates[s].data(), dim, 1.0 + s);
+// Test-local model of the fixed reduction tree, independent of the
+// aggregator's bookkeeping: leaves hold w·v in double (skipped = empty),
+// level by level node j folds children 2j and 2j+1 as left + right, an
+// empty side passes the other through and an odd tail passes up unchanged.
+// Returns false when nothing was delivered.
+bool tree_reference(const std::vector<std::vector<float>>& updates,
+                    const std::vector<double>& weights,
+                    const std::vector<char>& skipped, std::vector<float>& out) {
+  struct Acc {
+    std::vector<double> v;
+    double w = 0.0;
+  };
+  std::vector<Acc> level(updates.size());
+  for (std::size_t s = 0; s < updates.size(); ++s) {
+    if (skipped[s]) continue;
+    level[s].w = weights[s];
+    for (const float x : updates[s]) {
+      level[s].v.push_back(weights[s] * static_cast<double>(x));
     }
-    ASSERT_TRUE(agg.finish(serial));
   }
-  for (int rep = 0; rep < 4; ++rep) {
-    fl::StreamingAggregator agg(slots, dim);
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < 8; ++t) {
-      threads.emplace_back([&] {
-        for (std::size_t s; (s = next.fetch_add(1)) < slots;) {
-          if (s % 9 == 8) {
-            agg.skip(s);
+  while (level.size() > 1) {
+    std::vector<Acc> up((level.size() + 1) / 2);
+    for (std::size_t j = 0; j < up.size(); ++j) {
+      Acc& left = level[2 * j];
+      if (2 * j + 1 == level.size()) {
+        up[j] = std::move(left);
+        continue;
+      }
+      Acc& right = level[2 * j + 1];
+      up[j].w = left.w + right.w;
+      if (left.v.empty()) {
+        up[j].v = std::move(right.v);
+      } else {
+        for (std::size_t i = 0; i < right.v.size(); ++i) {
+          left.v[i] += right.v[i];
+        }
+        up[j].v = std::move(left.v);
+      }
+    }
+    level = std::move(up);
+  }
+  const Acc& root = level.front();
+  if (root.v.empty() || !(root.w > 0.0)) return false;
+  out.resize(root.v.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<float>(root.v[i] / root.w);
+  }
+  return true;
+}
+
+// tsan_smoke: concurrent submits from many threads, in a shuffled arrival
+// order, must produce exactly the tree's result — the whole point of the
+// fixed reduction tree. Covers 1-slot and odd-tail trees, a large cohort,
+// scattered skips, fully skipped subtrees and an all-skipped round, dims
+// that are not a multiple of the SIMD width, and int8 mode both with
+// qint8 payloads (quantized-domain average) and without (float fallback).
+TEST(StreamingAggregator, ConcurrentSubmitIsBitIdentical) {
+  for (const std::size_t slots : {1, 2, 3, 5, 63, 65, 1000}) {
+    for (const std::size_t dim : {13, 37}) {
+      util::Rng rng(21 + slots * 7 + dim);
+      std::vector<std::vector<float>> updates(slots, std::vector<float>(dim));
+      std::vector<double> weights(slots);
+      for (std::size_t s = 0; s < slots; ++s) {
+        for (auto& x : updates[s]) x = rng.normalf(0, 1);
+        weights[s] = 1.0 + static_cast<double>(s % 17);
+      }
+      std::vector<std::vector<std::uint8_t>> encoded(slots);
+      for (std::size_t s = 0; s < slots; ++s) {
+        encoded[s] = fl::wire::encode_payload(fl::wire::CodecId::kQInt8,
+                                              updates[s].data(), dim);
+      }
+      // Skip patterns: none; scattered; the whole left half (for n >= 2 a
+      // complete subtree of the root's left child, or more); everything.
+      const std::vector<std::pair<const char*, std::function<bool(std::size_t)>>>
+          patterns = {
+              {"none", [](std::size_t) { return false; }},
+              {"scattered", [](std::size_t s) { return s % 9 == 8; }},
+              {"left_subtree",
+               [slots](std::size_t s) { return slots > 1 && s < slots / 2; }},
+              {"all", [](std::size_t) { return true; }},
+          };
+      for (const auto& [pattern, skip_if] : patterns) {
+        std::vector<char> skipped(slots);
+        for (std::size_t s = 0; s < slots; ++s) skipped[s] = skip_if(s);
+        std::vector<float> expected;
+        const bool expect_any =
+            tree_reference(updates, weights, skipped, expected);
+        for (const int mode : {0, 1, 2}) {  // float, int8 fallback, int8
+          SCOPED_TRACE(::testing::Message()
+                       << "slots=" << slots << " dim=" << dim << " skip="
+                       << pattern << " mode=" << mode);
+          const bool int8_mode = mode > 0;
+          const bool with_payloads = mode == 2;
+          std::vector<std::size_t> order(slots);
+          for (std::size_t s = 0; s < slots; ++s) order[s] = s;
+          util::Rng shuffle_rng(slots + dim + mode);
+          shuffle_rng.shuffle(order);
+
+          fl::StreamingAggregator agg(slots, dim, int8_mode);
+          std::atomic<std::size_t> next{0};
+          std::vector<std::thread> threads;
+          for (std::size_t t = 0; t < 4; ++t) {
+            threads.emplace_back([&] {
+              for (std::size_t k; (k = next.fetch_add(1)) < slots;) {
+                const std::size_t s = order[k];
+                if (skipped[s]) {
+                  agg.skip(s);
+                } else {
+                  agg.submit(s, updates[s].data(), dim, weights[s],
+                             with_payloads ? std::vector<std::uint8_t>(
+                                                 encoded[s])
+                                           : std::vector<std::uint8_t>{});
+                }
+              }
+            });
+          }
+          for (auto& th : threads) th.join();
+          EXPECT_EQ(agg.any_delivered(), expect_any);
+          std::vector<float> got(dim, -7.0f);
+          ASSERT_EQ(agg.finish(got), expect_any);
+          if (!expect_any) {
+            EXPECT_EQ(got, std::vector<float>(dim, -7.0f));  // untouched
             continue;
           }
-          agg.submit(s, updates[s].data(), dim, 1.0 + s);
+          if (!with_payloads) {
+            EXPECT_EQ(0, std::memcmp(got.data(), expected.data(),
+                                     dim * sizeof(float)));
+            continue;
+          }
+          // Quantized domain: the slot-ordered qint8 average.
+          double total = 0.0;
+          std::vector<std::pair<const std::vector<std::uint8_t>*, double>>
+              entries;
+          for (std::size_t s = 0; s < slots; ++s) {
+            if (skipped[s]) continue;
+            entries.emplace_back(&encoded[s], weights[s]);
+            total += weights[s];
+          }
+          for (auto& e : entries) e.second /= total;
+          const std::vector<float> q =
+              fl::wire::qint8_weighted_average(entries, dim);
+          EXPECT_EQ(0, std::memcmp(got.data(), q.data(), dim * sizeof(float)));
+        }
+      }
+    }
+  }
+}
+
+// The atomic exchange that claims a leaf lets exactly one of two racing
+// resolutions of the same slot through; the loser throws.
+TEST(StreamingAggregator, RacingDoubleResolveThrowsExactlyOnce) {
+  const std::size_t dim = 5, slots = 8;
+  const std::vector<float> u(dim, 1.0f);
+  for (int rep = 0; rep < 50; ++rep) {
+    fl::StreamingAggregator agg(slots, dim);
+    std::atomic<int> thrown{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t s = 0; s < slots; ++s) {
+          try {
+            if (t == 0) {
+              agg.submit(s, u.data(), dim, 1.0);
+            } else {
+              agg.skip(s);
+            }
+          } catch (const std::logic_error&) {
+            thrown.fetch_add(1);
+          }
         }
       });
     }
     for (auto& th : threads) th.join();
-    std::vector<float> parallel(dim);
-    ASSERT_TRUE(agg.finish(parallel));
-    // Compare against a serial run with the same skip pattern.
-    fl::StreamingAggregator ref(slots, dim);
-    for (std::size_t s = 0; s < slots; ++s) {
-      if (s % 9 == 8) {
-        ref.skip(s);
-      } else {
-        ref.submit(s, updates[s].data(), dim, 1.0 + s);
-      }
-    }
-    std::vector<float> expected(dim);
-    ASSERT_TRUE(ref.finish(expected));
-    EXPECT_EQ(parallel, expected);
+    EXPECT_EQ(thrown.load(), static_cast<int>(slots));
+    std::vector<float> out(dim);
+    agg.finish(out);  // every slot resolved exactly once: no throw
   }
 }
 

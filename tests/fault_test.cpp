@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 
@@ -16,6 +18,7 @@
 #include "fl/fedavg.h"
 #include "fl/federation.h"
 #include "obs/metrics.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace fedclust {
@@ -181,6 +184,101 @@ TEST(UpdateValidatorTest, EnforcesNormBoundOnlyWhenSet) {
   EXPECT_EQ(bounded.check({0.5f, 0.5f}), nullptr);
   const fl::UpdateValidator unbounded(0.0);
   EXPECT_EQ(unbounded.check({1e30f, 1e30f}), nullptr);
+}
+
+float float_from_bits(std::uint32_t bits) {
+  float f = 0.0f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+// With no norm bound the validator only scans for non-finite values. Every
+// NaN (both signs, quiet and signalling payloads) and both infinities must
+// be caught wherever they sit: every index of a short vector (so both the
+// vectorized body and the scalar tail of the scan), and the first and last
+// index of a LeNet-sized one.
+TEST(UpdateValidatorTest, FiniteScanRejectsNonFiniteAtEveryIndex) {
+  const fl::UpdateValidator v(0.0);
+  const std::vector<float> bad = {
+      float_from_bits(0x7fc00000u), float_from_bits(0xffc00000u),
+      float_from_bits(0x7fa5a5a5u), float_from_bits(0xff800001u),
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity()};
+  for (const std::size_t n : {std::size_t{37}, std::size_t{21840}}) {
+    std::vector<float> base(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      base[i] = (i % 3 == 0) ? std::numeric_limits<float>::max()
+                             : -0.25f * static_cast<float>(i);
+    }
+    ASSERT_EQ(v.check(base), nullptr);
+    std::vector<std::size_t> at;
+    if (n == 37) {
+      for (std::size_t i = 0; i < n; ++i) at.push_back(i);
+    } else {
+      at = {0, n - 1};
+    }
+    for (const std::size_t i : at) {
+      for (const float b : bad) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " index=" << i);
+        std::vector<float> p = base;
+        p[i] = b;
+        EXPECT_STREQ(v.check(p), "non_finite");
+      }
+    }
+  }
+}
+
+TEST(UpdateValidatorTest, FiniteScanAcceptsEdgeFiniteValues) {
+  const fl::UpdateValidator v(0.0);
+  const float lim[] = {-0.0f,
+                       0.0f,
+                       std::numeric_limits<float>::denorm_min(),
+                       -std::numeric_limits<float>::denorm_min(),
+                       float_from_bits(0x007fffffu),  // largest denormal
+                       float_from_bits(0x807fffffu),
+                       std::numeric_limits<float>::min(),
+                       std::numeric_limits<float>::max(),
+                       std::numeric_limits<float>::lowest()};
+  std::vector<float> p(37);
+  for (std::size_t i = 0; i < p.size(); ++i) p[i] = lim[i % std::size(lim)];
+  EXPECT_EQ(v.check(p), nullptr);
+  EXPECT_EQ(v.check({}), nullptr);
+}
+
+// With a norm bound the validator keeps its full loop: the decisions match
+// a plain reference (non-finite first, then sqrt(sum of squares) > bound)
+// on random, boundary and poisoned vectors.
+TEST(UpdateValidatorTest, NormBoundDecisionsUnchanged) {
+  const auto reference = [](const std::vector<float>& p,
+                            double bound) -> const char* {
+    double sumsq = 0.0;
+    for (const float x : p) {
+      if (!std::isfinite(x)) return "non_finite";
+      sumsq += static_cast<double>(x) * x;
+    }
+    return std::sqrt(sumsq) > bound ? "norm_bound" : nullptr;
+  };
+  const auto same = [](const char* a, const char* b) {
+    return (a == nullptr && b == nullptr) ||
+           (a != nullptr && b != nullptr && std::string(a) == b);
+  };
+  util::Rng rng(5);
+  for (const double bound : {1.0, 3.0, 10.0, 0x1p100}) {
+    const fl::UpdateValidator v(bound);
+    for (int t = 0; t < 200; ++t) {
+      std::vector<float> p(static_cast<std::size_t>(rng.randint(1, 40)));
+      for (auto& x : p) x = rng.normalf(0.0f, 0.6f);
+      if (t % 10 == 3) p[p.size() / 2] = std::numeric_limits<float>::quiet_NaN();
+      if (t % 10 == 7) p.back() = -std::numeric_limits<float>::infinity();
+      EXPECT_TRUE(same(v.check(p), reference(p, bound))) << "t=" << t;
+    }
+    // Exactly on the bound is accepted; just past it is not.
+    EXPECT_EQ(v.check({static_cast<float>(bound), 0.0f}), nullptr);
+    EXPECT_STREQ(v.check({std::nextafter(static_cast<float>(bound),
+                                         std::numeric_limits<float>::max()),
+                          0.0f}),
+                 "norm_bound");
+  }
 }
 
 // ---- FaultEngine schedule purity ------------------------------------------

@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "fl/codec.h"
 #include "fl/federation.h"
+#include "obs/metrics.h"
 #include "util/thread_pool.h"
 
 namespace fedclust {
@@ -130,6 +134,85 @@ TEST_F(ParallelRoundTest, SequentialPathUsesSharedWorkspace) {
   runner.for_each_index(fed.n_clients(), [&](std::size_t, nn::Model& ws) {
     EXPECT_EQ(&ws, shared);  // FEDCLUST_THREADS=1 takes the seed's path
   });
+}
+
+// pull_model memoizes its wire round trip per (round, payload bytes). Every
+// pull must still equal a fresh, uncached through_wire(kModelPull, ...) of
+// the payload as it stands at that moment, and still be billed as its own
+// download; wire.pull_memo_hits counts exactly the reused round trips.
+// Each group's first pull runs alone, so the hit count is exact at any
+// thread count; the rest of the group pulls concurrently.
+TEST_F(ParallelRoundTest, PullMemoMatchesUncachedRoundTrips) {
+  for (const fl::wire::CodecId codec :
+       {fl::wire::CodecId::kRawF32, fl::wire::CodecId::kQInt8}) {
+    for (const std::size_t threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << fl::wire::codec_name(codec)
+                                        << " threads=" << threads);
+      util::reset_global_pool(threads);
+      obs::MetricsRegistry::instance().reset_values();
+      obs::MetricsRegistry::instance().set_enabled(true);
+      fl::ExperimentConfig cfg = small_cfg(23);
+      cfg.codec = codec;
+      fl::Federation fed(cfg);
+      fl::CommTracker uncached;
+      uncached.set_codec(codec);
+      const std::size_t n = fed.model_size();
+
+      const auto pull_group = [&](const std::vector<float>& payload,
+                                  std::size_t round, std::size_t times,
+                                  std::uint64_t counted) {
+        const std::vector<float> want = fed.through_wire(
+            fl::wire::MessageKind::kModelPull, payload,
+            fl::wire::kServerSender, round);
+        std::vector<std::vector<float>> got(times);
+        got[0] = fed.pull_model(payload, round, counted);
+        fl::ParallelRoundRunner(fed).for_each_index(
+            times - 1, [&](std::size_t i, nn::Model&) {
+              got[i + 1] = fed.pull_model(payload, round, counted);
+            });
+        for (std::size_t i = 0; i < times; ++i) {
+          ASSERT_EQ(got[i].size(), want.size());
+          EXPECT_EQ(0, std::memcmp(got[i].data(), want.data(),
+                                   want.size() * sizeof(float)))
+              << "pull " << i << " of round " << round;
+          uncached.download_envelope(n, fl::wire::encoded_size(codec, n));
+          if (counted > n) {
+            uncached.download_envelope(
+                counted - n, fl::wire::encoded_size(codec, counted - n));
+          }
+        }
+      };
+
+      std::vector<float> a = fed.init_params();
+      std::vector<float> b = a;
+      for (float& x : b) x *= 0.5f;
+      pull_group(a, 3, 6, n);       // miss, then 5 hits
+      pull_group(b, 3, 6, n + 10);  // second payload, same round: 1 + 5
+      pull_group(a, 3, 2, n);       // still cached: 2 hits
+      a[n / 2] = std::nextafter(a[n / 2], 1.0f);  // changed in place
+      pull_group(a, 3, 3, n);                     // miss, then 2 hits
+      pull_group(a, 4, 3, n);                     // new round: 1 + 2
+      EXPECT_EQ(obs::MetricsRegistry::instance().snapshot().counter_value(
+                    "wire.pull_memo_hits"),
+                16u);
+
+      // More distinct payloads in one round than the memo holds: the
+      // overflow misses every time and stays exact.
+      for (int k = 0; k < 7; ++k) {
+        std::vector<float> c = a;
+        c[0] += static_cast<float>(k + 1);
+        pull_group(c, 5, 3, n);
+      }
+
+      EXPECT_EQ(fed.comm().bytes_down(), uncached.bytes_down());
+      EXPECT_EQ(fed.comm().bytes_up(), 0u);
+      EXPECT_EQ(fed.comm().payload_bytes(), uncached.payload_bytes());
+      EXPECT_EQ(fed.comm().wire_bytes(), uncached.wire_bytes());
+      EXPECT_EQ(fed.comm().messages(), uncached.messages());
+      obs::MetricsRegistry::instance().set_enabled(false);
+      obs::MetricsRegistry::instance().reset_values();
+    }
+  }
 }
 
 TEST(WorkspacePool, LeasesAreDistinctAndRecycled) {

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the full release test suite, then the concurrency
+# Tier-1 verification: the full release test suite, a from-scratch compile
+# of src/ that must print no warning, then the concurrency
 # tests (thread pool + parallel round executor + obs stress) rebuilt and
 # re-run under ThreadSanitizer, then the fault/wire/snapshot tests rebuilt
 # and re-run under Address+UBSanitizer, then simulator CLI smokes:
@@ -15,6 +16,24 @@ cd "$(dirname "$0")/.."
 cmake --preset release
 cmake --build --preset release -j "$(nproc)"
 ctest --preset release -j "$(nproc)"
+
+# Warning-free src/: a from-scratch compile of every simulator library must
+# print no compiler warning. It gets its own build tree so no cached object
+# hides a warning. The check greps the log instead of adding -Werror, which
+# fedbench/CMakeLists.txt would inherit: a new compiler's warning must never
+# fail a benchmark build.
+warn_dir=build-warnings
+rm -rf "$warn_dir"
+cmake -S . -B "$warn_dir" -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "$warn_dir" --target fedclust_core fedclust_net \
+    -j "$(nproc)" > "$warn_dir/build.log" 2>&1 ||
+  { cat "$warn_dir/build.log" >&2; exit 1; }
+if grep -q 'warning:' "$warn_dir/build.log"; then
+  grep -B2 -A8 'warning:' "$warn_dir/build.log" >&2
+  echo "warning check: src/ compiles with warnings" >&2
+  exit 1
+fi
+echo "warning-free src/ build ok"
 
 cmake --preset tsan
 cmake --build --preset tsan-smoke -j "$(nproc)"
