@@ -302,6 +302,7 @@ void BM_StreamingAggregateConcurrent(benchmark::State& state) {
   for (std::size_t c = 0; c < clients; ++c) {
     updates.push_back(random_tensor({n}, 7 + c).vec());
   }
+  const std::size_t prev_threads = util::global_pool().size() + 1;
   util::reset_global_pool(4);
   std::vector<float> out(n);
   for (auto _ : state) {
@@ -314,7 +315,7 @@ void BM_StreamingAggregateConcurrent(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * clients));
-  util::reset_global_pool(1);
+  util::reset_global_pool(prev_threads);
 }
 BENCHMARK(BM_StreamingAggregateConcurrent)->Arg(8)->Arg(64)->UseRealTime();
 

@@ -124,16 +124,11 @@ void PartitionPlan::skip_one(util::Rng& rng) const {
   if (cfg_.label_set_pool > 0) {
     (void)rng.randint(0, static_cast<std::int64_t>(cfg_.label_set_pool));
   } else if (cfg_.partition == "skew") {
-    // sample_without_replacement's partial Fisher–Yates: draw j from [j, n).
-    const auto n = static_cast<std::int64_t>(spec_.num_classes);
-    const auto k = static_cast<std::int64_t>(
+    rng.skip_sample_without_replacement(
+        spec_.num_classes,
         labels_per_client(cfg_.skew_fraction, spec_.num_classes));
-    for (std::int64_t j = 0; j < k; ++j) (void)rng.randint(j, n);
   } else if (cfg_.partition == "dirichlet") {
-    // dirichlet() draws one gamma per class and nothing else.
-    for (std::size_t c = 0; c < spec_.num_classes; ++c) {
-      (void)rng.gamma(cfg_.dirichlet_alpha);
-    }
+    rng.skip_dirichlet(cfg_.dirichlet_alpha, spec_.num_classes);
   }
   if (cfg_.quantity_skew_factor > 1.0) (void)rng.uniform();
 }

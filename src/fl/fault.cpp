@@ -308,23 +308,19 @@ void FaultEngine::corrupt_wire(std::vector<std::uint8_t>& bytes,
 }
 
 const char* UpdateValidator::check(const std::vector<float>& params) const {
-  if (!(max_norm_ > 0.0)) {
-    // No norm bound: only finiteness matters. A float is non-finite iff its
-    // exponent bits are all ones, and adding one exponent LSB to those bits
-    // carries into bit 31 exactly then. Branch-free, so it vectorizes.
-    std::uint32_t flags = 0;
-    for (const float v : params) {
-      std::uint32_t bits = 0;
-      std::memcpy(&bits, &v, sizeof(bits));
-      flags |= (bits & 0x7f800000u) + 0x00800000u;
-    }
-    return (flags & 0x80000000u) != 0 ? "non_finite" : nullptr;
-  }
-  double sumsq = 0.0;
+  // A float is non-finite iff its exponent bits are all ones, and adding one
+  // exponent LSB to those bits carries into bit 31 exactly then. Branch-free,
+  // so it vectorizes.
+  std::uint32_t flags = 0;
   for (const float v : params) {
-    if (!std::isfinite(v)) return "non_finite";
-    sumsq += static_cast<double>(v) * v;
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    flags |= (bits & 0x7f800000u) + 0x00800000u;
   }
+  if ((flags & 0x80000000u) != 0) return "non_finite";
+  if (!(max_norm_ > 0.0)) return nullptr;
+  double sumsq = 0.0;
+  for (const float v : params) sumsq += static_cast<double>(v) * v;
   if (std::sqrt(sumsq) > max_norm_) return "norm_bound";
   return nullptr;
 }

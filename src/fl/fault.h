@@ -139,8 +139,8 @@ class FaultEngine {
 // Server-side quarantine, run on every collected update before it can touch
 // the floating-point reduction order. The finiteness check is always on (a
 // NaN in one update would poison the whole aggregate); the L2 norm bound is
-// active when max_norm > 0. Without a bound, check() is a branch-free scan
-// of exponent bits and computes no norm.
+// active when max_norm > 0. check() finds non-finite values with a
+// branch-free scan of exponent bits and computes the norm only under a bound.
 class UpdateValidator {
  public:
   UpdateValidator() = default;

@@ -323,8 +323,9 @@ class Federation {
   std::vector<float> init_params_;
 
   // pull_model's memo: entries all belong to the latest round pulled, at
-  // most kPullMemoCap of them, so FedClust with many cluster models just
-  // misses and re-encodes instead of holding every model twice.
+  // most kPullMemoCap of them. A full memo refuses new entries rather than
+  // evicting, so the first kPullMemoCap models pulled in a round keep
+  // hitting and pulls of any further model re-encode every time.
   static constexpr std::size_t kPullMemoCap = 4;
   std::mutex pull_mu_;
   std::vector<std::shared_ptr<const PullMemo>> pull_memo_;

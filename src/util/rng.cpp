@@ -146,6 +146,11 @@ std::vector<double> Rng::dirichlet(double alpha, std::size_t k) {
   return p;
 }
 
+void Rng::skip_dirichlet(double alpha, std::size_t k) {
+  // dirichlet() draws one gamma per category and nothing else.
+  for (std::size_t i = 0; i < k; ++i) (void)gamma(alpha);
+}
+
 std::size_t Rng::categorical(const std::vector<double>& weights) {
   double total = 0.0;
   for (const double w : weights) {
@@ -179,6 +184,16 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
   }
   idx.resize(k);
   return idx;
+}
+
+void Rng::skip_sample_without_replacement(std::size_t n, std::size_t k) {
+  if (k > n) {
+    throw std::invalid_argument("sample_without_replacement: k > n");
+  }
+  // The draws of the partial Fisher–Yates above, without the index vector.
+  for (std::size_t i = 0; i < k; ++i) {
+    (void)randint(static_cast<std::int64_t>(i), static_cast<std::int64_t>(n));
+  }
 }
 
 }  // namespace fedclust::util

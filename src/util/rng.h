@@ -66,6 +66,9 @@ class Rng {
   // Symmetric Dirichlet(alpha) over k categories; returns a probability
   // vector of length k.
   std::vector<double> dirichlet(double alpha, std::size_t k);
+  // Advances the stream exactly as dirichlet(alpha, k) would, without
+  // allocating the result.
+  void skip_dirichlet(double alpha, std::size_t k);
 
   // Index sampled from an unnormalized non-negative weight vector.
   std::size_t categorical(const std::vector<double>& weights);
@@ -83,6 +86,9 @@ class Rng {
   // k distinct indices drawn uniformly from [0, n); requires k <= n.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
+  // Advances the stream exactly as sample_without_replacement(n, k) would,
+  // without allocating the result.
+  void skip_sample_without_replacement(std::size_t n, std::size_t k);
 
  private:
   std::uint64_t seed_;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
 
 namespace fedclust::util {
 namespace {
@@ -183,6 +184,36 @@ TEST(Rng, SampleWithoutReplacementFull) {
 TEST(Rng, SampleWithoutReplacementRejectsOversample) {
   Rng rng(23);
   EXPECT_THROW(rng.sample_without_replacement(3, 4), std::invalid_argument);
+}
+
+// The skips must consume exactly the draws of the calls they stand in for,
+// including the cached second normal deviate that gamma() leaves behind.
+TEST(Rng, SkipSampleWithoutReplacementMatchesDraw) {
+  for (const auto& [n, k] : {std::pair<std::size_t, std::size_t>{10, 0},
+                             {10, 3},
+                             {10, 10},
+                             {62, 17}}) {
+    Rng drawn(31);
+    Rng skipped(31);
+    (void)drawn.sample_without_replacement(n, k);
+    skipped.skip_sample_without_replacement(n, k);
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(drawn.normal(), skipped.normal());
+  }
+  Rng rng(23);
+  EXPECT_THROW(rng.skip_sample_without_replacement(3, 4),
+               std::invalid_argument);
+}
+
+TEST(Rng, SkipDirichletMatchesDraw) {
+  for (const double alpha : {0.05, 0.5, 1.0, 7.0}) {
+    for (const std::size_t k : {1u, 2u, 10u, 33u}) {
+      Rng drawn(37);
+      Rng skipped(37);
+      (void)drawn.dirichlet(alpha, k);
+      skipped.skip_dirichlet(alpha, k);
+      for (int i = 0; i < 8; ++i) EXPECT_EQ(drawn.normal(), skipped.normal());
+    }
+  }
 }
 
 // Property sweep: statistical sanity holds across seeds.
